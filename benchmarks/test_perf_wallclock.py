@@ -27,6 +27,8 @@ from bench_wallclock import (  # noqa: E402
     run_bench,
 )
 
+from tests.reference_heap import HeapEngine  # noqa: E402
+
 
 def test_plan_fast_path_beats_interpreter():
     result = bench_interpreter(repeats=30)
@@ -44,13 +46,13 @@ def test_dma_coalescing_saves_events_with_identical_virtual_time():
 
 def test_calendar_queue_keeps_up_with_legacy_heap():
     """Machine-independent engine regression gate: the calendar queue
-    and the legacy single-heap reference run the same workload in the
+    and the test-side single-heap reference run the same workload in the
     same process, so their ratio cancels out runner speed.  A calendar
     regression (or an accidental slow path in dispatch) drags the ratio
     down; >15% behind the reference scheduler fails."""
-    result = bench_events(repeats=4)
+    result = bench_events(repeats=4, reference=HeapEngine)
     assert result["calendar_vs_heap"] > 0.85
-    assert result["legacy_heap_events_per_s"] > 0
+    assert result["heap_events_per_s"] > 0
 
 
 def test_quick_bench_writes_report(tmp_path):

@@ -6,42 +6,23 @@ cross-machine paths (migration, remote checkpoints).  A
 :class:`Cluster` wires two or more machines together with 100 Gbps RDMA
 links, including GPU-direct RDMA (§7's migration path copies source GPU
 buffers straight into target GPU buffers).
-
-Clock domains
--------------
-
-A cluster can be sharded so each machine (optionally each GPU) is its
-own :class:`~repro.sim.domains.ClockDomain`:
-``Cluster.testbed(world, clock_domains="per-machine")``.  Every RDMA
-link then doubles as a pair of typed :class:`DomainChannel`s whose
-latency is the conservative lookahead — which is why zero or negative
-link latency is a hard :class:`InvalidValueError` here, not a quirk.
-On a single shared engine the same channels degrade to local schedules,
-so both modes run the identical event program.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro import units
 from repro.errors import InvalidValueError
 from repro.gpu.cost_model import GpuSpec
 from repro.gpu.device import Gpu
-from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidLink
 from repro.storage.media import DramMedia
 
 
 class Machine:
-    """One GPU server.
-
-    ``gpu_domains`` (optional) homes each GPU in its own clock domain;
-    the machine's engine must then be a domain of the same world, and a
-    pair of PCIe-latency ``dma`` channels is wired host <-> GPU for
-    cross-domain transfers.
-    """
+    """One GPU server."""
 
     def __init__(
         self,
@@ -50,49 +31,19 @@ class Machine:
         n_gpus: int = 8,
         spec: Optional[GpuSpec] = None,
         default_data_size: Optional[int] = None,
-        gpu_domains: Optional[list] = None,
     ) -> None:
         if n_gpus < 1:
             raise InvalidValueError(f"a machine needs at least one GPU, got {n_gpus}")
-        if gpu_domains is not None:
-            if len(gpu_domains) != n_gpus:
-                raise InvalidValueError(
-                    f"gpu_domains has {len(gpu_domains)} entries for "
-                    f"{n_gpus} GPUs"
-                )
-            world = engine._world
-            if world is None:
-                raise InvalidValueError(
-                    "per-GPU clock domains need the machine engine to be a "
-                    "ClockDomain of a World"
-                )
-            for dom in gpu_domains:
-                if dom._world is not world:
-                    raise InvalidValueError(
-                        f"GPU domain {dom.name!r} belongs to a different "
-                        "world than the machine engine"
-                    )
         self.engine = engine
         self.name = name
         self.spec = spec or GpuSpec()
         self.gpus = [
-            Gpu(gpu_domains[i] if gpu_domains else engine, index=i,
-                spec=self.spec, default_data_size=default_data_size)
+            Gpu(engine, index=i, spec=self.spec,
+                default_data_size=default_data_size)
             for i in range(n_gpus)
         ]
         #: Host DRAM as a checkpoint medium (the paper's fast default).
         self.dram = DramMedia(engine, name=f"{name}-dram")
-        #: Per-GPU (host->gpu, gpu->host) dma channel pairs, present
-        #: only when the GPUs live in their own domains.
-        self.gpu_channels: dict[int, tuple[DomainChannel, DomainChannel]] = {}
-        if gpu_domains is not None:
-            for i, dom in enumerate(gpu_domains):
-                self.gpu_channels[i] = (
-                    world.channel(engine, dom, units.PCIE_LINK_LATENCY,
-                                  name=f"{name}/gpu{i}:down", kind="dma"),
-                    world.channel(dom, engine, units.PCIE_LINK_LATENCY,
-                                  name=f"{name}/gpu{i}:up", kind="dma"),
-                )
 
     def gpu(self, index: int) -> Gpu:
         if not 0 <= index < len(self.gpus):
@@ -112,10 +63,7 @@ class RdmaLink:
     Modelled as a fluid link per direction; GPU-direct transfers flow
     through it with a rate cap at the lower of RDMA and PCIe bandwidth
     (the data still crosses each host's PCIe complex).  Each direction
-    is homed in the *source* machine's engine and carries a
-    ``DomainChannel`` of the same latency, so a link between machines
-    in different clock domains is automatically a legal (and lookahead-
-    bearing) crossing.
+    is homed in the *source* machine's engine.
     """
 
     def __init__(self, engine: Engine, a: Machine, b: Machine,
@@ -126,11 +74,9 @@ class RdmaLink:
                 f"RDMA self-link on machine {a.name!r}; a link needs two "
                 "distinct machines"
             )
-        if not (latency >= MIN_LOOKAHEAD):  # also catches NaN
+        if not latency > 0:  # also catches NaN
             raise InvalidValueError(
-                f"RDMA link latency must be >= {MIN_LOOKAHEAD:g}s, got "
-                f"{latency!r}; the latency is the clock-domain lookahead "
-                "and cannot be zero or negative"
+                f"RDMA link latency must be positive, got {latency!r}"
             )
         if bandwidth <= 0:
             raise InvalidValueError(
@@ -149,33 +95,12 @@ class RdmaLink:
                                         name=f"{b.name}->{a.name}",
                                         latency=latency),
         }
-        self._channels: dict[tuple[str, str], DomainChannel] = {}
-        for src, dst in ((a, b), (b, a)):
-            cname = f"rdma:{src.name}->{dst.name}"
-            if src.engine is dst.engine:
-                ch = DomainChannel.local(src.engine, latency, name=cname,
-                                         kind="rdma")
-            else:
-                world = src.engine._world
-                if world is None or dst.engine._world is not world:
-                    raise InvalidValueError(
-                        f"machines {src.name!r} and {dst.name!r} live on "
-                        "different engines but not in one World; clock "
-                        "domains must share a World"
-                    )
-                ch = world.channel(src.engine, dst.engine, latency,
-                                   name=cname, kind="rdma")
-            self._channels[(src.name, dst.name)] = ch
 
     def _direction(self, src: Machine, dst: Machine) -> tuple[str, str]:
         key = (src.name, dst.name)
         if key not in self._links:
             raise InvalidValueError(f"no RDMA path {src.name} -> {dst.name}")
         return key
-
-    def channel(self, src: Machine, dst: Machine) -> DomainChannel:
-        """The message channel for one direction of the link."""
-        return self._channels[self._direction(src, dst)]
 
     def flow(self, src: Machine, dst: Machine, nbytes: float,
              rate_cap: Optional[float] = None):
@@ -184,27 +109,11 @@ class RdmaLink:
         yield from self._links[self._direction(src, dst)].flow(
             nbytes, rate_cap=rate_cap)
 
-    def deliver(self, src: Machine, dst: Machine, nbytes: float,
-                value=None, rate_cap: Optional[float] = None):
-        """Generator (sender side): drain bytes, then notify ``dst``.
-
-        The sender resumes at drain completion; ``value`` (default the
-        byte count) lands in the destination-side channel inbox one
-        link latency later — pair with :meth:`receive` on ``dst``.
-        """
-        key = self._direction(src, dst)
-        yield from self._links[key]._flow_raw(nbytes, rate_cap=rate_cap)
-        return self._channels[key].send(value if value is not None else nbytes)
-
-    def receive(self, src: Machine, dst: Machine):
-        """Event (receiver side) for the next :meth:`deliver` arrival."""
-        return self._channels[self._direction(src, dst)].recv()
-
 
 class Cluster:
     """A set of machines fully connected by RDMA."""
 
-    def __init__(self, engine: Union[Engine, World], machines: list[Machine],
+    def __init__(self, engine: Engine, machines: list[Machine],
                  link_latency: float = units.RDMA_LINK_LATENCY) -> None:
         if not machines:
             raise InvalidValueError("a cluster needs at least one machine")
@@ -212,12 +121,7 @@ class Cluster:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise InvalidValueError(f"duplicate machine names: {dupes}")
-        if isinstance(engine, World):
-            self.world: Optional[World] = engine
-            self.engine = machines[0].engine
-        else:
-            self.world = engine._world
-            self.engine = engine
+        self.engine = engine
         self.machines = list(machines)
         self.link_latency = link_latency
         self._links: dict[frozenset, RdmaLink] = {}
@@ -243,55 +147,13 @@ class Cluster:
         )
 
     @classmethod
-    def testbed(cls, engine: Union[Engine, World], n_machines: int = 2,
+    def testbed(cls, engine: Engine, n_machines: int = 2,
                 n_gpus: int = 8, default_data_size: Optional[int] = None,
-                clock_domains: str = "single") -> "Cluster":
-        """The paper's testbed: two 8-GPU A800 servers, 100 Gbps RDMA.
-
-        ``clock_domains`` selects the sharding:
-
-        * ``"single"`` — all machines on one shared engine (pass an
-          :class:`Engine`); the historical behaviour.
-        * ``"per-machine"`` — one :class:`ClockDomain` per machine
-          (pass a :class:`World`, or an Engine that is itself a domain).
-        * ``"per-gpu"`` — additionally one domain per GPU, wired to the
-          host domain by PCIe-latency dma channels.
-        """
-        if isinstance(engine, World):
-            world: Optional[World] = engine
-            if clock_domains == "single":
-                clock_domains = "per-machine"
-        elif clock_domains != "single":
-            world = engine._world
-            if world is None:
-                raise InvalidValueError(
-                    f"clock_domains={clock_domains!r} needs a World (or a "
-                    "ClockDomain engine), got a plain Engine"
-                )
-        else:
-            world = None
-        if clock_domains == "single":
-            machines = [
-                Machine(engine, name=f"node{i}", n_gpus=n_gpus,
-                        default_data_size=default_data_size)
-                for i in range(n_machines)
-            ]
-            return cls(engine, machines)
-        if clock_domains not in ("per-machine", "per-gpu"):
-            raise InvalidValueError(
-                f"unknown clock_domains mode {clock_domains!r}; expected "
-                "'single', 'per-machine' or 'per-gpu'"
-            )
-        machines = []
-        for i in range(n_machines):
-            dom = world.domain(f"node{i}")
-            gpu_domains = None
-            if clock_domains == "per-gpu":
-                gpu_domains = [world.domain(f"node{i}/gpu{j}")
-                               for j in range(n_gpus)]
-            machines.append(
-                Machine(dom, name=f"node{i}", n_gpus=n_gpus,
-                        default_data_size=default_data_size,
-                        gpu_domains=gpu_domains)
-            )
-        return cls(world, machines)
+                ) -> "Cluster":
+        """The paper's testbed: two 8-GPU A800 servers, 100 Gbps RDMA."""
+        machines = [
+            Machine(engine, name=f"node{i}", n_gpus=n_gpus,
+                    default_data_size=default_data_size)
+            for i in range(n_machines)
+        ]
+        return cls(engine, machines)

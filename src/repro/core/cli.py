@@ -143,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", default="resnet152-train", choices=sorted(APP_SPECS))
     p.add_argument("--system", default="phos",
                    choices=("phos", "singularity", "cuda-checkpoint"))
-    p.add_argument("--clock-domains", action="store_true",
-                   help="shard source and target machines into separate "
-                        "clock domains (phos only)")
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("study", help="run the §8.5 speculation study (Table 3)")
@@ -203,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "failure-driven restore)")
     p.add_argument("--no-migration", action="store_true",
                    help="disable migration-for-packing")
-    p.add_argument("--clock-domains", default="single",
-                   choices=("single", "per-machine"),
-                   help="shard each machine into its own clock domain "
-                        "(bit-identical results either way)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="fan (trace, seed, system) cells over N worker "
                         "processes (output is bit-identical at any N)")
@@ -393,8 +386,7 @@ def cmd_restore(args) -> int:
 def cmd_migrate(args) -> int:
     from repro.tasks.live_migration import migrate
 
-    result = migrate(args.system, args.app,
-                     clock_domains=args.clock_domains)
+    result = migrate(args.system, args.app)
     if not result.supported:
         print(f"{args.system} cannot migrate {args.app} "
               "(no distributed support)")
@@ -452,7 +444,6 @@ def cmd_fleet(args) -> int:
         pool_capacity=args.pool_size, queue_cap=args.queue_cap,
         failures_per_hour=args.failures,
         migration=not args.no_migration,
-        clock_domains=args.clock_domains,
     )
     print(result.format())
     _report_parallel(args)

@@ -51,10 +51,8 @@ class Phos:
                  contexts_per_gpu: int = 2) -> None:
         if engine is not machine.engine:
             raise InvalidValueError(
-                f"PHOS on {machine.name!r} must run in the machine's own "
-                f"clock domain: got engine {engine.name!r}, machine is "
-                f"homed in {machine.engine.name!r}.  Remote machines are "
-                "driven through DomainChannels, not a shared daemon."
+                f"PHOS on {machine.name!r} must run on the machine's own "
+                "engine; pass machine.engine"
             )
         self.engine = engine
         self.machine = machine
@@ -143,8 +141,7 @@ class Phos:
         )
         logger.info("checkpoint requested: process=%s mode=%s medium=%s t=%g",
                     process.name, protocol.name, medium.name, self.engine.now)
-        obs.counter("phos/checkpoints", mode=protocol.name,
-                    **self.engine._obs_labels).inc()
+        obs.counter("phos/checkpoints", mode=protocol.name).inc()
         handle = self.engine.spawn(gen, name=f"phos-ckpt-{process.name}")
         handle.add_callback(self._log_checkpoint_done)
         self._register_inflight(process, handle, protocol)
@@ -339,8 +336,7 @@ class Phos:
             catalog = getattr(medium, "images", None)
             resolve = catalog.lookup if catalog is not None else None
             image = materialize(image, resolve=resolve)
-            obs.counter("storage/chain-restores",
-                        **self.engine._obs_labels).inc()
+            obs.counter("storage/chain-restores").inc()
         if gpu_indices is not None and len(gpu_indices) == 0:
             raise InvalidValueError(
                 "gpu_indices=[] names no restore target; pass None to "
@@ -356,8 +352,7 @@ class Phos:
         concurrent = protocol.name == "concurrent"
         logger.info("restore requested: image=%s gpus=%s concurrent=%s t=%g",
                     image.name, gpu_indices, concurrent, self.engine.now)
-        obs.counter("phos/restores", mode=protocol.name,
-                    **self.engine._obs_labels).inc()
+        obs.counter("phos/restores", mode=protocol.name).inc()
         pool = (self.pool if concurrent and (use_pool is None or use_pool)
                 else None)
         process, frontend, session = yield from protocol.restore(

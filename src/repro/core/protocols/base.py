@@ -497,11 +497,7 @@ class Protocol:
 
     def span_attrs(self, ctx: ProtocolContext) -> dict:
         """Attributes for the run's ``checkpoint/<name>`` obs span."""
-        attrs = {"image": ctx.image.name} if ctx.image is not None else {}
-        # Sharded worlds label every protocol span with its clock
-        # domain, so per-machine runs stay attributable in one report.
-        attrs.update(ctx.engine._obs_labels)
-        return attrs
+        return {"image": ctx.image.name} if ctx.image is not None else {}
 
     def phase_admit(self, ctx: ProtocolContext):
         """Gate the run (e.g. wait for an in-flight restore)."""

@@ -63,8 +63,8 @@ def run_cell(cell: Cell) -> list[dict]:
                     ("n_machines", "n_gpus", "pool_capacity",
                      "contexts_per_gpu", "queue_cap", "requests_per_call",
                      "failures_per_hour", "failure_seed", "recovery_s",
-                     "max_retries", "migration", "clock_domains",
-                     "control_latency_s") if k in ov}
+                     "max_retries", "migration", "control_latency_s")
+                    if k in ov}
     trace = generate(TraceConfig(kind=kind, seed=seed, **trace_fields))
     report = run_fleet(trace, FleetConfig(system=system, **fleet_fields))
     row = report.summary()

@@ -4,11 +4,8 @@ One *gateway* (the cluster frontdoor) owns the request queue and every
 placement decision; one *machine agent* per
 :class:`~repro.cluster.Machine` executes invocations against its local
 :class:`~repro.fleet.snapshots.SnapshotPool`.  Gateway and agents only
-ever talk through :class:`~repro.sim.domains.DomainChannel` control
-messages, so the same event program runs on one shared engine
-(``clock_domains="single"``) or with every machine in its own
-:class:`ClockDomain` (``clock_domains="per-machine"``, the PR 8
-conservative loop over a ``Cluster.testbed`` world).
+ever talk through control messages that land ``control_latency_s``
+after they are sent.
 
 Policies
 --------
@@ -51,11 +48,9 @@ from repro.errors import InvalidValueError
 from repro.fleet.calibrate import SYSTEMS, FunctionProfile, profiles_for
 from repro.fleet.snapshots import SnapshotPool
 from repro.fleet.traces import Trace
-from repro.sim.domains import MIN_LOOKAHEAD, DomainChannel, World
 from repro.sim.engine import Engine
-
-#: Clock-domain shardings the fleet world supports.
-CLOCK_DOMAIN_MODES = ("single", "per-machine")
+from repro.sim.events import Event
+from repro.sim.resources import Store
 
 
 class _Preempted(Exception):
@@ -87,9 +82,7 @@ class FleetConfig:
     max_retries: int = 3
     #: Migrate-for-packing (phos only; ignored for the baselines).
     migration: bool = True
-    clock_domains: str = "single"
-    #: Gateway <-> machine control-message latency (the clock-domain
-    #: lookahead in per-machine mode).
+    #: Gateway <-> machine control-message latency.
     control_latency_s: float = units.RDMA_LINK_LATENCY
 
     def __post_init__(self) -> None:
@@ -138,16 +131,10 @@ class FleetConfig:
             raise InvalidValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.clock_domains not in CLOCK_DOMAIN_MODES:
+        if not self.control_latency_s > 0:  # also catches NaN
             raise InvalidValueError(
-                f"unknown clock_domains mode {self.clock_domains!r}; "
-                f"expected one of {CLOCK_DOMAIN_MODES}"
-            )
-        if not self.control_latency_s >= MIN_LOOKAHEAD:  # also catches NaN
-            raise InvalidValueError(
-                f"control_latency_s must be >= {MIN_LOOKAHEAD:g}s, got "
-                f"{self.control_latency_s!r}; it is the clock-domain "
-                "lookahead and cannot be zero or negative"
+                f"control_latency_s must be positive, got "
+                f"{self.control_latency_s!r}"
             )
 
 
@@ -274,6 +261,28 @@ class FleetReport:
 
 
 # --------------------------------------------------------------------------
+# control messages
+# --------------------------------------------------------------------------
+
+class _Mailbox:
+    """One direction of a gateway <-> agent link: ``send`` lands in the
+    receiver's inbox ``latency`` seconds later."""
+
+    def __init__(self, engine: Engine, latency: float, name: str) -> None:
+        self.engine = engine
+        self.latency = latency
+        self._inbox = Store(engine, name=f"{name}-inbox")
+
+    def send(self, value) -> None:
+        engine = self.engine
+        engine._schedule_call(engine.now + self.latency, self._inbox.put,
+                              value)
+
+    def recv(self) -> Event:
+        return self._inbox.get()
+
+
+# --------------------------------------------------------------------------
 # machine agents
 # --------------------------------------------------------------------------
 
@@ -282,7 +291,7 @@ class _MachineAgent:
 
     def __init__(self, engine: Engine, name: str, n_gpus: int,
                  cfg: FleetConfig, profiles: dict[str, FunctionProfile],
-                 inbox: DomainChannel, outbox: DomainChannel) -> None:
+                 inbox: _Mailbox, outbox: _Mailbox) -> None:
         self.engine = engine
         self.name = name
         self.cfg = cfg
@@ -422,7 +431,7 @@ class _Gateway:
     def __init__(self, engine: Engine, trace: Trace, cfg: FleetConfig,
                  profiles: dict[str, FunctionProfile],
                  agents: list[_MachineAgent],
-                 inboxes: list[DomainChannel],
+                 inboxes: list[_Mailbox],
                  report: FleetReport) -> None:
         self.engine = engine
         self.trace = trace
@@ -531,7 +540,7 @@ class _Gateway:
         return True
 
     # -- machine messages ----------------------------------------------------
-    def listener(self, m: int, ch: DomainChannel):
+    def listener(self, m: int, ch: _Mailbox):
         while True:
             msg = yield ch.recv()
             if msg[0] == "stopped":
@@ -665,56 +674,37 @@ def run_fleet(trace: Trace, config: FleetConfig,
             "placed"
         )
 
-    # -- build the world -----------------------------------------------------
-    if config.clock_domains == "per-machine":
-        world = World()
-        gw_engine: Engine = world.domain("gateway")
-        cluster = Cluster.testbed(world, n_machines=config.n_machines,
-                                  n_gpus=config.n_gpus,
-                                  clock_domains="per-machine")
-
-        def channel(src, dst, name):
-            return world.channel(src, dst, config.control_latency_s,
-                                 name=name, kind="control")
-    else:
-        world = None
-        gw_engine = Engine()
-        cluster = Cluster.testbed(gw_engine, n_machines=config.n_machines,
-                                  n_gpus=config.n_gpus)
-
-        def channel(src, dst, name):
-            return DomainChannel.local(gw_engine, config.control_latency_s,
-                                       name=name, kind="control")
+    engine = Engine()
+    cluster = Cluster.testbed(engine, n_machines=config.n_machines,
+                              n_gpus=config.n_gpus)
 
     report = FleetReport(system=config.system, trace=trace, config=config)
     agents = []
     inboxes = []
     outboxes = []
     for machine in cluster.machines:
-        inbox = channel(gw_engine, machine.engine, f"gw->{machine.name}")
-        outbox = channel(machine.engine, gw_engine, f"{machine.name}->gw")
-        agents.append(_MachineAgent(machine.engine, machine.name,
+        inbox = _Mailbox(engine, config.control_latency_s,
+                         f"gw->{machine.name}")
+        outbox = _Mailbox(engine, config.control_latency_s,
+                          f"{machine.name}->gw")
+        agents.append(_MachineAgent(engine, machine.name,
                                     config.n_gpus, config, profiles,
                                     inbox, outbox))
         inboxes.append(inbox)
         outboxes.append(outbox)
 
-    gateway = _Gateway(gw_engine, trace, config, profiles, agents,
+    gateway = _Gateway(engine, trace, config, profiles, agents,
                        inboxes, report)
     for m, agent in enumerate(agents):
         agent.engine.spawn(agent.listener(), name=f"{agent.name}-agent")
-        gw_engine.spawn(gateway.listener(m, outboxes[m]),
-                        name=f"gw-listen-{agent.name}")
+        engine.spawn(gateway.listener(m, outboxes[m]),
+                     name=f"gw-listen-{agent.name}")
         if config.failures_per_hour > 0:
             rng = random.Random(config.failure_seed * 1000003 + m)
             agent.failure_proc = agent.engine.spawn(
                 agent.failure_loop(rng), name=f"{agent.name}-failures")
-    gw_engine.spawn(gateway.arrivals(), name="gw-arrivals")
-
-    if world is not None:
-        world.run()
-    else:
-        gw_engine.run()
+    engine.spawn(gateway.arrivals(), name="gw-arrivals")
+    engine.run()
 
     # -- fold agent-side state into the report -------------------------------
     for agent in agents:

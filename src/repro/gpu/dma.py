@@ -22,7 +22,6 @@ from typing import Optional
 from repro import chaos, obs, units
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event
 from repro.sim.resources import PriorityResource, acquired
 
 #: Application PCIe traffic: highest priority (lowest number).
@@ -108,18 +107,8 @@ def transfer(
     """
     if nbytes <= 0:
         return 0
-    owner = engines.pool.engine
-    if owner is not engine:
-        # The DMA engines live in another clock domain (per-GPU
-        # sharding): route the request through the dma channel pair and
-        # run the transfer where the engines are.  The caller resumes
-        # one channel latency after the remote completion — request and
-        # reply each cross the PCIe link once.
-        moved = yield from _remote_transfer(
-            engine, owner, engines, direction, nbytes, bandwidth,
-            priority, chunk_bytes,
-        )
-        return moved
+    if engines.pool.engine is not engine:
+        raise SimulationError(f"DMA pool {engines.pool.name!r} is on another engine")
     # Fault injection targets bulk (checkpoint/restore) traffic only:
     # the chaos fault model is "the C/R data path failed", not "the
     # application's own PCIe batch load failed".
@@ -131,7 +120,6 @@ def transfer(
         priority=priority,
         cls=priority_class(priority),
         direction=direction.value,
-        **engine._obs_labels,
     )
     if chunk_bytes is None:
         req = yield from acquired(res, priority=priority)
@@ -146,7 +134,6 @@ def transfer(
         priority=priority,
         cls=priority_class(priority),
         direction=direction.value,
-        **engine._obs_labels,
     )
     moved = 0
     while moved < nbytes:
@@ -204,46 +191,4 @@ def transfer(
             moved = split_moved
         finally:
             res.release(req)
-    return moved
-
-
-def _remote_transfer(
-    engine: Engine,
-    owner: Engine,
-    engines: DmaEngineSet,
-    direction: Direction,
-    nbytes: int,
-    bandwidth: float,
-    priority: int,
-    chunk_bytes: Optional[int],
-):
-    """Run a transfer in the domain that owns the DMA engines.
-
-    A ``dma``-kind channel pair (wired by ``Machine`` for per-GPU
-    domains) carries the request over and the completion back; the
-    transfer itself — arbitration, chunking, chaos, counters — executes
-    entirely in the owner domain.
-    """
-    world = owner._world
-    if world is None or engine._world is not world:
-        raise SimulationError(
-            f"DMA pool {engines.pool.name!r} lives on a different engine "
-            "than the caller and they do not share a World; cross-domain "
-            "transfers need dma channels"
-        )
-    request = world.require_channel(engine, owner, kind="dma")
-    reply = world.require_channel(owner, engine, kind="dma")
-    done = Event(engine, name=f"dma-remote({engines.pool.name})")
-
-    def remote_body():
-        moved = yield from transfer(owner, engines, direction, nbytes,
-                                    bandwidth, priority=priority,
-                                    chunk_bytes=chunk_bytes)
-        reply.fire(done, moved)
-
-    def spawn_remote(_arg):
-        owner.spawn(remote_body(), name=f"dma-remote({engines.pool.name})")
-
-    request.post(spawn_remote)
-    moved = yield done
     return moved

@@ -22,7 +22,6 @@ Typical usage::
     assert eng.now == 1.5
 """
 
-from repro.sim.domains import ClockDomain, DomainChannel, World
 from repro.sim.engine import Engine, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.resources import PriorityResource, Resource, Store
@@ -31,8 +30,6 @@ from repro.sim.trace import Span, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ClockDomain",
-    "DomainChannel",
     "Engine",
     "Event",
     "PriorityResource",
@@ -42,5 +39,4 @@ __all__ = [
     "Store",
     "Timeout",
     "Tracer",
-    "World",
 ]

@@ -30,17 +30,15 @@ table on the kind constants from :mod:`repro.sim.events`.
 
 FIFO-within-timestamp is exact: bucket append order is scheduling
 order, which is precisely the ``(when, seq)`` order of the historical
-single-heap scheduler.  ``Engine(legacy_heap=True)`` (or
-``REPRO_LEGACY_HEAP=1``) keeps that historical heap as a reference
-implementation; ``tests/test_property_scheduler.py`` drives random
-event soups through both and asserts identical firing order.
+single-heap scheduler.  ``tests/reference_heap.py`` keeps that heap as
+a test-side reference engine; ``tests/test_property_scheduler.py``
+drives random event soups through both and asserts identical firing
+order.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import os
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -58,17 +56,6 @@ from repro.sim.events import (
 )
 
 ProcessBody = Generator[Event, Any, Any]
-
-#: Set to force every new :class:`Engine` onto the historical
-#: single-heap scheduler (A/B debugging of queue-order issues).
-LEGACY_HEAP_ENV = "REPRO_LEGACY_HEAP"
-
-#: Set to assert, on every dispatched timestamp, that the clock never
-#: moves backwards — a regression guard for the multi-domain
-#: conservative sync loop (see ``sim/domains.py``).  Off by default:
-#: the calendar heap already guarantees monotone pops, so the check
-#: only pays for itself when hunting a sync bug.
-CHECK_CLOCK_ENV = "REPRO_CHECK_CLOCK"
 
 
 class Process(Event):
@@ -102,22 +89,7 @@ class Process(Event):
         The default exception is :class:`Interrupt`.  A process that is
         mid-wait stops waiting on its event (the event itself still fires
         normally for other waiters).
-
-        A process resident in another clock domain cannot be interrupted
-        directly — that would reach across the conservative sync
-        boundary at zero latency.  Use
-        :meth:`~repro.sim.domains.DomainChannel.interrupt` instead.
         """
-        engine = self.engine
-        world = engine._world
-        if world is not None:
-            executing = world._executing
-            if executing is not None and executing is not engine:
-                raise SimulationError(
-                    f"process {self.name!r} is resident in domain "
-                    f"{engine.name!r}; interrupt it from {executing.name!r} "
-                    "via DomainChannel.interrupt"
-                )
         if self._fired:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         exc = exc if exc is not None else Interrupt()
@@ -183,35 +155,17 @@ class Engine:
     """Virtual clock plus event queue.
 
     The engine is single-threaded and deterministic: events scheduled for
-    the same timestamp run in FIFO scheduling order.
-
-    ``legacy_heap=True`` (or ``REPRO_LEGACY_HEAP=1``) selects the
-    historical ``(when, seq, record)`` heapq scheduler — one pop per
-    record, no buckets — kept as the order-semantics reference for the
-    calendar queue's property tests.
+    the same timestamp run in FIFO scheduling order.  Every queue access
+    goes through :meth:`_push`, :meth:`_push_callbacks`, :meth:`_drain`
+    and :attr:`events_pending`.
     """
 
-    def __init__(self, legacy_heap: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        if legacy_heap is None:
-            legacy_heap = bool(os.environ.get(LEGACY_HEAP_ENV))
-        self._legacy = legacy_heap
-        #: Human label; a ClockDomain overrides it with the domain name.
-        self.name = "engine"
-        #: The World this engine belongs to as a ClockDomain, or None
-        #: for a plain (single-domain) engine.
-        self._world = None
-        #: Extra labels merged into obs metrics minted against this
-        #: engine ({"domain": name} on a ClockDomain, {} otherwise).
-        self._obs_labels: dict = {}
-        self._check_clock = bool(os.environ.get(CHECK_CLOCK_ENV))
         #: Calendar level 1: exact timestamp -> FIFO record bucket.
         self._buckets: dict[float, list] = {}
         #: Calendar level 2: heap of distinct timestamps with buckets.
         self._theap: list[float] = []
-        #: Legacy reference queue: (when, seq, kind, target, payload).
-        self._lheap: list[tuple] = []
-        self._seq = itertools.count()
         #: Total records ever pushed onto the event queue.
         self._n_scheduled = 0
         #: Records actually dispatched by run().  Differs from
@@ -245,8 +199,6 @@ class Engine:
     @property
     def events_pending(self) -> int:
         """Records currently waiting in the queue."""
-        if self._legacy:
-            return len(self._lheap)
         return sum(len(b) for b in self._buckets.values())
 
     # -- factory helpers -----------------------------------------------------
@@ -277,20 +229,9 @@ class Engine:
     # -- scheduling ------------------------------------------------------------
     def _push(self, when: float, kind: int, target, payload) -> None:
         """Schedule one ``(kind, target, payload)`` record at ``when``."""
-        world = self._world
-        if world is not None and world._executing is not None \
-                and world._executing is not self:
-            raise SimulationError(
-                f"domain {world._executing.name!r} cannot schedule directly "
-                f"on domain {self.name!r}; cross-domain effects must go "
-                "through a DomainChannel"
-            )
         if when < self._now or when != when:  # second clause: NaN guard
             raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
         self._n_scheduled += 1
-        if self._legacy:
-            heapq.heappush(self._lheap, (when, next(self._seq), kind, target, payload))
-            return
         b = self._buckets.get(when)
         if b is None:
             self._buckets[when] = [(kind, target, payload)]
@@ -306,22 +247,6 @@ class Engine:
         callable a ``K_CALL1`` record, appended to the current bucket
         in registration order.
         """
-        world = self._world
-        if world is not None and world._executing is not None \
-                and world._executing is not self:
-            raise SimulationError(
-                f"domain {world._executing.name!r} cannot fire waiters of an "
-                f"event homed in domain {self.name!r}; hand the completion "
-                "off through a DomainChannel"
-            )
-        if self._legacy:
-            now = self._now
-            for cb in cbs:
-                if isinstance(cb, Event):
-                    self._push(now, K_RESUME, cb, event)
-                else:
-                    self._push(now, K_CALL1, cb, event)
-            return
         now = self._now
         b = self._buckets.get(now)
         if b is None:
@@ -365,112 +290,20 @@ class Engine:
                 raise SimulationError(f"deadline {deadline} is in the past")
         self._running = True
         try:
-            if self._legacy:
-                return self._run_legacy(deadline, stop_event)
-            return self._run_calendar(deadline, stop_event)
+            return self._drain(deadline, stop_event)
         finally:
             self._running = False
 
-    def _next_time(self) -> Optional[float]:
-        """The earliest queued timestamp, or None when drained."""
-        if self._legacy:
-            return self._lheap[0][0] if self._lheap else None
-        return self._theap[0] if self._theap else None
-
-    def _drain_window(self, incl: float, bound: float,
-                      deadline: Optional[float],
-                      stop_event: Optional[Event]) -> bool:
-        """Dispatch local records with ``t <= incl`` or ``t < bound``.
-
-        One domain's slice of a conservative multi-domain round (see
-        ``sim/domains.py``): the inclusive leg is the world's global
-        lower-bound timestamp, the exclusive leg is this domain's
-        channel-derived safe bound.  Dispatch within the window is
-        byte-identical to :meth:`_run_calendar` — same batched buckets,
-        same jump table, same partial-bucket requeue — so per-domain
-        order matches the single-engine order exactly.  Returns True
-        when ``stop_event`` fired mid-drain.
-        """
-        if self._legacy:
-            raise SimulationError(
-                "clock domains require the calendar-queue scheduler "
-                "(REPRO_LEGACY_HEAP is incompatible with World)"
-            )
+    def _drain(self, deadline: Optional[float],
+               stop_event: Optional[Event]) -> Any:
+        """Dispatch queued records in order; the body of :meth:`run`."""
         buckets = self._buckets
         theap = self._theap
-        check = self._check_clock
-        while theap:
-            t = theap[0]
-            if t > incl and t >= bound:
-                return False
-            if deadline is not None and t > deadline:
-                return False
-            if check and t < self._now:
-                raise SimulationError(
-                    f"clock went backwards in domain {self.name!r}: "
-                    f"record at t={t!r} behind now={self._now!r}"
-                )
-            self._now = t
-            bucket = buckets[t]
-            i = 0
-            n = len(bucket)
-            try:
-                if stop_event is None:
-                    while i < n:
-                        kind, target, payload = bucket[i]
-                        i += 1
-                        if kind == K_RESUME:
-                            target._resume(payload)
-                        elif kind == K_FIRE:
-                            target._fire(True, payload)
-                        elif kind == K_CALL1:
-                            target(payload)
-                        elif kind == K_STEP:
-                            target._step(None, payload)
-                        else:
-                            target()
-                        n = len(bucket)
-                else:
-                    while i < n:
-                        kind, target, payload = bucket[i]
-                        i += 1
-                        if kind == K_RESUME:
-                            target._resume(payload)
-                        elif kind == K_FIRE:
-                            target._fire(True, payload)
-                        elif kind == K_CALL1:
-                            target(payload)
-                        elif kind == K_STEP:
-                            target._step(None, payload)
-                        else:
-                            target()
-                        if stop_event._fired:
-                            return True
-                        n = len(bucket)
-            finally:
-                self._n_executed += i
-                if i < len(bucket):
-                    buckets[t] = bucket[i:]
-                else:
-                    del buckets[t]
-                    heapq.heappop(theap)
-        return False
-
-    def _run_calendar(self, deadline: Optional[float],
-                      stop_event: Optional[Event]) -> Any:
-        buckets = self._buckets
-        theap = self._theap
-        check = self._check_clock
         while theap:
             t = theap[0]
             if deadline is not None and t > deadline:
                 self._now = deadline
                 return None
-            if check and t < self._now:
-                raise SimulationError(
-                    f"clock went backwards in {self.name!r}: "
-                    f"record at t={t!r} behind now={self._now!r}"
-                )
             self._now = t
             bucket = buckets[t]
             # Batched dispatch: fire the whole timestamp bucket in one
@@ -524,46 +357,6 @@ class Engine:
                 else:
                     del buckets[t]
                     heapq.heappop(theap)
-        if stop_event is not None and not stop_event._fired:
-            raise DeadlockError(
-                f"event queue drained at t={self._now:g} but "
-                f"{stop_event.name!r} never fired"
-            )
-        if deadline is not None:
-            self._now = deadline
-        return None
-
-    def _run_legacy(self, deadline: Optional[float],
-                    stop_event: Optional[Event]) -> Any:
-        heap = self._lheap
-        check = self._check_clock
-        while heap:
-            when = heap[0][0]
-            if deadline is not None and when > deadline:
-                self._now = deadline
-                return None
-            when, _, kind, target, payload = heapq.heappop(heap)
-            if check and when < self._now:
-                raise SimulationError(
-                    f"clock went backwards in {self.name!r}: "
-                    f"record at t={when!r} behind now={self._now!r}"
-                )
-            self._now = when
-            self._n_executed += 1
-            if kind == K_RESUME:
-                target._resume(payload)
-            elif kind == K_FIRE:
-                target._fire(True, payload)
-            elif kind == K_CALL1:
-                target(payload)
-            elif kind == K_STEP:
-                target._step(None, payload)
-            else:
-                target()
-            if stop_event is not None and stop_event._fired:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
         if stop_event is not None and not stop_event._fired:
             raise DeadlockError(
                 f"event queue drained at t={self._now:g} but "

@@ -137,15 +137,6 @@ class Event:
         The process object itself is stored (no bound method); the
         engine's batched callback push tells the two apart.
         """
-        peng = process.engine
-        if peng is not self.engine and (self.engine._world is not None
-                                        or peng._world is not None):
-            raise SimulationError(
-                f"process {process.name!r} (domain {peng.name!r}) cannot "
-                f"wait on {self.name!r} (domain {self.engine.name!r}); "
-                "cross-domain completion must be handed off through a "
-                "DomainChannel"
-            )
         cbs = self._callbacks
         if cbs is None:
             self._callbacks = [process]
@@ -218,13 +209,6 @@ class _Composite(Event):
             self.succeed([])
             return
         for ev in self.events:
-            if ev.engine is not engine and (engine._world is not None
-                                            or ev.engine._world is not None):
-                raise SimulationError(
-                    f"{name} mixes events from domains {engine.name!r} and "
-                    f"{ev.engine.name!r}; compose within one domain and "
-                    "hand results across through a DomainChannel"
-                )
             ev.add_callback(self._child_fired)
 
     def _child_fired(self, ev: Event) -> None:

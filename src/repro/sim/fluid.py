@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import InvalidValueError, SimulationError
+from repro.errors import InvalidValueError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -68,27 +68,7 @@ class FluidLink:
     # -- public API ---------------------------------------------------------------
     def flow(self, nbytes: float, weight: float = 1.0, rate_cap: Optional[float] = None):
         """Generator: push ``nbytes`` through the link (drain + latency)."""
-        yield from self._flow_raw(nbytes, weight=weight, rate_cap=rate_cap)
-        if self.latency:
-            yield self.engine.timeout(self.latency)
-
-    def _flow_raw(self, nbytes: float, weight: float = 1.0,
-                  rate_cap: Optional[float] = None):
-        """Generator: drain ``nbytes`` with no propagation tail.
-
-        Used by senders that hand completion to the *receiver* through a
-        DomainChannel (which carries the same latency), so the latency
-        is not paid twice.
-        """
         engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"fluid link {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain traffic must go through a DomainChannel"
-            )
         if nbytes < 0:
             raise InvalidValueError(f"nbytes must be non-negative, got {nbytes}")
         if weight <= 0:
@@ -97,13 +77,15 @@ class FluidLink:
             raise InvalidValueError(f"rate_cap must be positive, got {rate_cap}")
         if nbytes == 0:
             yield engine.timeout(0.0)
-            return
-        f = _Flow(nbytes, weight, rate_cap)
-        f.done = engine.event(name=f"{self.name}-flow{f.id}")
-        self._advance()
-        self._flows.append(f)
-        self._reschedule()
-        yield f.done
+        else:
+            f = _Flow(nbytes, weight, rate_cap)
+            f.done = engine.event(name=f"{self.name}-flow{f.id}")
+            self._advance()
+            self._flows.append(f)
+            self._reschedule()
+            yield f.done
+        if self.latency:
+            yield engine.timeout(self.latency)
 
     @property
     def active_flows(self) -> int:

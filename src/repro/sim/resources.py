@@ -117,15 +117,6 @@ class Resource:
     # -- acquire / release -----------------------------------------------------
     def acquire(self, priority: int = 0) -> Request:
         """Request a slot.  The returned event fires when granted."""
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"resource {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain access must go through a DomainChannel"
-            )
         req = Request(self, priority=priority)
         if len(self._users) < self.capacity and self._queue_empty():
             # Uncontended fast path: a free slot and nobody queued means
@@ -136,8 +127,7 @@ class Resource:
             ob = obs.active()
             if ob is not None:
                 ob.metrics.histogram(
-                    f"resource/{self.name}/grant-wait", priority=req.priority,
-                    **engine._obs_labels
+                    f"resource/{self.name}/grant-wait", priority=req.priority
                 ).observe(0.0)
                 self._note(ob)
             req.succeed(req)
@@ -178,15 +168,6 @@ class Resource:
 
     def release(self, req: Request) -> None:
         """Return a granted slot to the pool, or cancel a waiting request."""
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"resource {self.name!r} lives in domain {engine.name!r} "
-                f"but domain {world._executing.name!r} is executing; "
-                "cross-domain access must go through a DomainChannel"
-            )
         if req.released:
             raise SimulationError(f"double release on {self.name}")
         if req in self._users:
@@ -231,8 +212,7 @@ class Resource:
                 ob_fetched = True
             if ob is not None:
                 ob.metrics.histogram(
-                    f"resource/{self.name}/grant-wait", priority=req.priority,
-                    **self.engine._obs_labels
+                    f"resource/{self.name}/grant-wait", priority=req.priority
                 ).observe(self.engine.now - req.requested_at)
             req.succeed(req)
 
@@ -244,19 +224,17 @@ class Resource:
             if ob is None:
                 return
         metrics = ob.metrics
-        labels = self.engine._obs_labels
-        metrics.gauge(f"resource/{self.name}/capacity",
-                      **labels).set(self.capacity)
-        metrics.gauge(f"resource/{self.name}/in-use", **labels).set(self.in_use)
-        metrics.histogram(f"resource/{self.name}/queue-depth",
-                          **labels).update(self.queue_len)
+        metrics.gauge(f"resource/{self.name}/capacity").set(self.capacity)
+        metrics.gauge(f"resource/{self.name}/in-use").set(self.in_use)
+        metrics.histogram(f"resource/{self.name}/queue-depth").update(
+            self.queue_len)
         counts: dict[int, int] = {}
         for req in self._users:
             counts[req.priority] = counts.get(req.priority, 0) + 1
         self._prio_seen.update(counts)
         for priority in self._prio_seen:
             metrics.gauge(
-                f"resource/{self.name}/in-use", priority=priority, **labels
+                f"resource/{self.name}/in-use", priority=priority
             ).set(counts.get(priority, 0))
 
 
@@ -341,20 +319,8 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
 
-    def _check_affinity(self) -> None:
-        engine = self.engine
-        world = engine._world
-        if world is not None and world._executing is not None \
-                and world._executing is not engine:
-            raise SimulationError(
-                f"store {self.name!r} lives in domain {engine.name!r} but "
-                f"domain {world._executing.name!r} is executing; mail it "
-                "through a DomainChannel instead"
-            )
-
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
-        self._check_affinity()
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
@@ -362,7 +328,6 @@ class Store:
 
     def get(self) -> Event:
         """An event that fires with the next available item."""
-        self._check_affinity()
         ev = Event(self.engine, name=f"get({self.name})")
         if self._items:
             ev.succeed(self._items.popleft())

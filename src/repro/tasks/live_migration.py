@@ -31,7 +31,6 @@ from repro.core.daemon import Phos
 from repro.core.protocols import ProtocolConfig
 from repro.errors import InvalidValueError
 from repro.sim import Engine
-from repro.sim.domains import World
 from repro.storage.media import Medium
 from repro.tasks.fault_tolerance import EXPERIMENT_CHUNK
 
@@ -62,26 +61,9 @@ def _rdma_medium(engine: Engine, n_gpus: int) -> Medium:
 
 
 def migrate(system: str, spec_name: str, warm_steps: int = 2,
-            chunk_bytes: int = EXPERIMENT_CHUNK,
-            clock_domains: bool = False) -> MigrationResult:
-    """Migrate one application between two machines; returns downtime.
-
-    ``clock_domains=True`` shards source and target into separate
-    :class:`~repro.sim.domains.ClockDomain` machines: the restore runs
-    in the target domain, driven by control messages over RDMA-latency
-    channels instead of an inline call.  Only ``system="phos"`` supports
-    it (the baselines stop the world and run inline by construction);
-    downtime matches the single-domain run to within the control-message
-    latency.
-    """
+            chunk_bytes: int = EXPERIMENT_CHUNK) -> MigrationResult:
+    """Migrate one application between two machines; returns downtime."""
     spec = get_spec(spec_name)
-    if clock_domains:
-        if system != "phos":
-            raise InvalidValueError(
-                "clock_domains migration is only modelled for "
-                "system='phos'; the baselines run inline on one engine"
-            )
-        return _migrate_phos_domains(spec_name, spec, warm_steps, chunk_bytes)
     if system == "cuda-checkpoint" and spec.n_gpus > 1:
         return MigrationResult(system=system, app=spec_name, downtime=float("nan"),
                                total_time=float("nan"), supported=False)
@@ -159,75 +141,4 @@ def migrate(system: str, spec_name: str, warm_steps: int = 2,
     downtime, total = eng.run_process(driver(eng))
     eng.run()
     return MigrationResult(system=system, app=spec_name,
-                           downtime=downtime, total_time=total)
-
-
-def _migrate_phos_domains(spec_name: str, spec, warm_steps: int,
-                          chunk_bytes: int) -> MigrationResult:
-    """PHOS migration with source and target in separate clock domains.
-
-    The source-side driver is unchanged up to the final quiesce; the
-    restore half runs as a server process *in the target domain*,
-    started by a control message and acknowledged with the target-side
-    resume timestamp.  The post-restore validation step of the
-    single-domain path is skipped — it runs after the downtime window
-    closes and only validates, and the restored process lives in a
-    domain the source-side workload driver must not touch.
-    """
-    world = World()
-    cluster = Cluster.testbed(world, n_machines=2, n_gpus=spec.n_gpus)
-    src, dst = cluster.machines
-    eng_src, eng_dst = src.engine, dst.engine
-    ctrl = world.channel(eng_src, eng_dst, units.RDMA_LINK_LATENCY,
-                         name="migrate-ctrl", kind="control")
-    ack = world.channel(eng_dst, eng_src, units.RDMA_LINK_LATENCY,
-                        name="migrate-ack", kind="control")
-    phos_src = Phos(eng_src, src, use_context_pool=False)
-    phos_dst = Phos(eng_dst, dst, use_context_pool=True)
-    # Boot the target daemon to completion before provisioning; the
-    # full drain re-joins both domain clocks at the frontier, so the
-    # source-side driver starts at the same timestamp as in the
-    # single-engine run (where boot advances the one shared clock).
-    eng_dst.spawn(phos_dst.boot(), name="boot")
-    world.run()
-    process, workload = provision(eng_src, src, spec)
-    phos_src.attach(process)
-    rdma = _rdma_medium(eng_src, spec.n_gpus)
-    scale = min(1.0, RDMA_PER_GPU / src.spec.pcie_bw)
-    steps_during = max(2, int(10.0 / spec.step_time))
-
-    def server():
-        cmd, image, n_gpus = yield ctrl.recv()
-        assert cmd == "restore"
-        yield from phos_dst.restore(
-            image, gpu_indices=list(range(n_gpus)),
-            machine=dst, skip_data_copy=True,
-        )
-        ack.send(("restored", eng_dst.now))
-
-    def driver():
-        yield from workload.setup()
-        yield from workload.run(warm_steps)
-        t_start = eng_src.now
-        handle = phos_src.checkpoint(
-            process, mode="recopy", medium=rdma,
-            config=ProtocolConfig(keep_stopped=True, bandwidth_scale=scale,
-                                  chunk_bytes=chunk_bytes),
-        )
-        eng_src.spawn(workload.run(steps_during), name="migrating-app")
-        image, session = yield handle
-        stop_time = session.final_quiesce_start
-        ctrl.send(("restore", image, spec.n_gpus))
-        _, resumed = yield ack.recv()
-        obs.record("task/migrate-downtime", stop_time, end=resumed,
-                   system="phos", app=spec_name)
-        obs.record("task/migrate-total", t_start, end=resumed,
-                   system="phos", app=spec_name)
-        return resumed - stop_time, resumed - t_start
-
-    eng_dst.spawn(server(), name="migrate-server")
-    downtime, total = world.run(
-        eng_src.spawn(driver(), name="migrate-driver"))
-    world.run()
-    return MigrationResult(system="phos", app=spec_name,
                            downtime=downtime, total_time=total)

@@ -77,6 +77,37 @@ def test_unknown_link_rejected(eng):
         cluster.link(a, c)
 
 
+def test_cluster_duplicate_machine_names_rejected():
+    eng = Engine()
+    with pytest.raises(InvalidValueError) as err:
+        Cluster(eng, [Machine(eng, "n0", 1), Machine(eng, "n0", 1)])
+    assert "n0" in str(err.value)
+
+
+def test_rdma_self_link_rejected():
+    eng = Engine()
+    m = Machine(eng, "n0", 1)
+    with pytest.raises(InvalidValueError):
+        RdmaLink(eng, m, m)
+    with pytest.raises(InvalidValueError):
+        RdmaLink(eng, m, Machine(eng, "n0", 1))  # same name, distinct object
+
+
+@pytest.mark.parametrize("latency", [0.0, -5e-6, float("nan")])
+def test_rdma_link_latency_validated(latency):
+    eng = Engine()
+    a, b = Machine(eng, "a", 1), Machine(eng, "b", 1)
+    with pytest.raises(InvalidValueError):
+        RdmaLink(eng, a, b, latency=latency)
+
+
+def test_rdma_bandwidth_validated():
+    eng = Engine()
+    a, b = Machine(eng, "a", 1), Machine(eng, "b", 1)
+    with pytest.raises(InvalidValueError):
+        RdmaLink(eng, a, b, bandwidth=0.0)
+
+
 # --- media ----------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from repro.api.runtime import GpuProcess
 from repro.cluster import Machine
 from repro.core.daemon import Phos
 from repro.core.sdk import PhosSdk
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, InvalidValueError
 from repro.gpu.context import GpuContext
 from repro.sim import Engine
 
@@ -28,6 +28,12 @@ def attach_app(eng, machine, phos, name="app", gpus=(0,)):
     phos.attach(process)
     app = ToyApp(process)
     return process, app
+
+
+def test_phos_pinned_to_machine_engine():
+    machine = Machine(Engine(), "m", 1)
+    with pytest.raises(InvalidValueError):
+        Phos(Engine(), machine)
 
 
 def test_checkpoint_requires_attachment():

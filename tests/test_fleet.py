@@ -3,10 +3,7 @@
 Scheduler tests inject synthetic :class:`FunctionProfile`s so every
 policy (admission control, best-fit packing, migration-for-packing,
 failure-driven restore) is exercised against hand-built traces without
-paying the calibration probes.  Every scenario also runs once with the
-fleet sharded into per-machine clock domains and must produce the
-bit-identical record stream — gateway and agents only ever talk through
-``DomainChannel``s, so the event program cannot depend on the sharding.
+paying the calibration probes.
 """
 
 import math
@@ -158,10 +155,9 @@ def test_fleet_config_validation():
         FleetConfig(recovery_s=0.0)
     with pytest.raises(InvalidValueError):
         FleetConfig(max_retries=-1)
-    with pytest.raises(InvalidValueError):
-        FleetConfig(clock_domains="per-rack")
-    with pytest.raises(InvalidValueError):
-        FleetConfig(control_latency_s=0.0)
+    for latency in (0.0, -1e-6, float("nan")):
+        with pytest.raises(InvalidValueError):
+            FleetConfig(control_latency_s=latency)
 
 
 # --------------------------------------------------------------------------
@@ -211,21 +207,14 @@ def signature(report):
             for r in report.records]
 
 
-def run_both_modes(trace, profiles, **cfg):
-    """Run single-engine and per-machine; assert bit-identity."""
-    single = run_fleet(trace, FleetConfig(clock_domains="single", **cfg),
-                       profiles=profiles)
-    sharded = run_fleet(trace, FleetConfig(clock_domains="per-machine",
-                                           **cfg), profiles=profiles)
-    assert signature(single) == signature(sharded)
-    assert single.summary() == sharded.summary()
-    return single
+def serve(trace, profiles, **cfg):
+    return run_fleet(trace, FleetConfig(**cfg), profiles=profiles)
 
 
 def test_fleet_serves_and_warms_the_pool():
     profiles = {"f": prof("f", image=256 << 20)}
     trace = make_trace([(0.0, "f"), (5.0, "f"), (10.0, "f")])
-    report = run_both_modes(trace, profiles, n_machines=1, n_gpus=2)
+    report = serve(trace, profiles, n_machines=1, n_gpus=2)
     assert report.completed == 3
     first, second, third = report.records
     assert not first.warm and second.warm and third.warm
@@ -253,8 +242,8 @@ def test_admission_control_rejects_at_queue_cap():
     # dispatches, two queue, three bounce off the cap.
     profiles = {"f": prof("f", exec_s=10.0)}
     trace = make_trace([(0.0, "f")] * 6)
-    report = run_both_modes(trace, profiles, n_machines=1, n_gpus=1,
-                            queue_cap=2)
+    report = serve(trace, profiles, n_machines=1, n_gpus=1,
+                   queue_cap=2)
     assert report.completed == 3
     assert report.rejected == 3
     outcomes = [r.outcome for r in report.records]
@@ -268,8 +257,8 @@ def test_admission_control_rejects_at_queue_cap():
 def test_unsupported_functions_are_refused_up_front():
     profiles = {"ok": prof("ok"), "big": prof("big", supported=False)}
     trace = make_trace([(0.0, "ok"), (0.1, "big"), (0.2, "ok")])
-    report = run_both_modes(trace, profiles, n_machines=1, n_gpus=1,
-                            system="cuda-checkpoint")
+    report = serve(trace, profiles, n_machines=1, n_gpus=1,
+                   system="cuda-checkpoint")
     assert report.completed == 2
     assert report.unsupported == 1
     assert report.records[1].outcome == "unsupported"
@@ -284,7 +273,7 @@ def test_best_fit_packs_small_jobs_onto_fullest_machine():
     profiles = {"w3": prof("w3", n_gpus=3, exec_s=20.0),
                 "w1": prof("w1", n_gpus=1, exec_s=20.0)}
     trace = make_trace([(0.0, "w3"), (0.1, "w1"), (0.2, "w1")])
-    report = run_both_modes(trace, profiles, n_machines=2, n_gpus=4)
+    report = serve(trace, profiles, n_machines=2, n_gpus=4)
     by_fn = {}
     for r in report.records:
         by_fn.setdefault(r.function, []).append(r.machine)
@@ -304,8 +293,8 @@ def test_migration_unblocks_a_stranded_head():
     }
     arrivals = [(0.0, "s5"), (0.0, "s1short"), (0.0, "s1long"),
                 (0.0, "big6")]
-    report = run_both_modes(make_trace(arrivals), profiles,
-                            n_machines=2, n_gpus=6)
+    report = serve(make_trace(arrivals), profiles,
+                   n_machines=2, n_gpus=6)
     assert report.migrations == 1
     victim = report.records[2]
     assert victim.function == "s1long"
@@ -319,8 +308,8 @@ def test_migration_unblocks_a_stranded_head():
     assert victim.end > 30.0 + profiles["s1long"].migration_downtime_s
 
     # Without migration the head waits for s5's 30 s slot instead.
-    blocked = run_both_modes(make_trace(arrivals), profiles,
-                             n_machines=2, n_gpus=6, migration=False)
+    blocked = serve(make_trace(arrivals), profiles,
+                    n_machines=2, n_gpus=6, migration=False)
     assert blocked.migrations == 0
     assert blocked.records[3].end > 25.0
 
@@ -336,9 +325,9 @@ def test_baselines_never_migrate():
     }
     arrivals = [(0.0, "s5"), (0.0, "s1short"), (0.0, "s1long"),
                 (0.0, "big6")]
-    report = run_both_modes(make_trace(arrivals), profiles,
-                            n_machines=2, n_gpus=6, system="singularity",
-                            migration=True)
+    report = serve(make_trace(arrivals), profiles,
+                   n_machines=2, n_gpus=6, system="singularity",
+                   migration=True)
     assert report.migrations == 0
     assert report.records[3].end > 25.0
 
@@ -347,9 +336,9 @@ def test_machine_failures_requeue_and_retry():
     profiles = {"f": prof("f", exec_s=2.0)}
     trace = generate(TraceConfig(kind="poisson", rate=2.0, duration=30.0,
                                  seed=4, functions=("f",)))
-    report = run_both_modes(trace, profiles, n_machines=2, n_gpus=2,
-                            failures_per_hour=3600.0, recovery_s=1.0,
-                            failure_seed=7, max_retries=2)
+    report = serve(trace, profiles, n_machines=2, n_gpus=2,
+                   failures_per_hour=3600.0, recovery_s=1.0,
+                   failure_seed=7, max_retries=2)
     assert report.machine_failures > 0
     assert report.retries > 0
     # Conservation: every request has exactly one final outcome.
@@ -371,9 +360,9 @@ def test_retry_budget_exhaustion_fails_the_request():
     profiles = {"f": prof("f", exec_s=5.0)}
     trace = generate(TraceConfig(kind="poisson", rate=1.0, duration=30.0,
                                  seed=6, functions=("f",)))
-    report = run_both_modes(trace, profiles, n_machines=1, n_gpus=1,
-                            failures_per_hour=7200.0, recovery_s=2.0,
-                            failure_seed=3, max_retries=0)
+    report = serve(trace, profiles, n_machines=1, n_gpus=1,
+                   failures_per_hour=7200.0, recovery_s=2.0,
+                   failure_seed=3, max_retries=0)
     assert report.failed > 0
     failed = [r for r in report.records if r.outcome == "failed"]
     assert all(r.retries > 0 for r in failed)
@@ -385,8 +374,8 @@ def test_context_pool_miss_pays_the_creation_barrier():
     # the second invocation misses the context pool and pays nopool.
     profiles = {"f": prof("f", start=0.1, nopool=10.0, exec_s=0.2)}
     trace = make_trace([(0.0, "f"), (0.0, "f")])
-    report = run_both_modes(trace, profiles, n_machines=1, n_gpus=1,
-                            contexts_per_gpu=1)
+    report = serve(trace, profiles, n_machines=1, n_gpus=1,
+                   contexts_per_gpu=1)
     assert (report.context_hits, report.context_misses) == (1, 1)
     first, second = report.records
     assert first.pooled_ctx and not second.pooled_ctx

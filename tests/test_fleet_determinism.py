@@ -57,10 +57,3 @@ def test_pooled_tail_is_seed_order_invariant(serial_result):
     for system in ("phos", "singularity"):
         for key in ("p50_ms", "p99_ms", "p999_ms", "completed", "requests"):
             assert pooled_a[system][key] == pooled_b[system][key]
-
-
-def test_clock_domain_modes_agree_end_to_end():
-    sharded = fig_fleet.run(jobs=1, clock_domains="per-machine",
-                            **FAST_KWARGS)
-    single = fig_fleet.run(jobs=1, clock_domains="single", **FAST_KWARGS)
-    assert sharded.rows == single.rows

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.errors import SimulationError
 from repro.gpu.dma import APP_PRIORITY, CHECKPOINT_PRIORITY, Direction, transfer
 from repro.gpu.device import Gpu
 from repro.sim import Engine
@@ -160,6 +161,16 @@ def test_zero_byte_transfer_is_instant(eng, gpu):
         return (moved, eng.now)
 
     assert eng.run_process(proc(eng)) == (0, 0.0)
+
+
+def test_transfer_rejects_pool_on_another_engine(gpu):
+    other = Engine()
+
+    def proc():
+        yield from transfer(other, gpu.dma, Direction.H2D, 1, bandwidth=units.GB)
+
+    with pytest.raises(SimulationError):
+        other.run_process(proc())
 
 
 def test_directions_share_the_engine_pool(eng, gpu):

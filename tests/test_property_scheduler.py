@@ -1,7 +1,8 @@
-"""Differential property test: calendar queue vs. the legacy heap.
+"""Differential property test: calendar queue vs. the reference heap.
 
 The calendar-queue scheduler (PR 7) claims *exact* order equivalence
-with the historical single-heap scheduler: FIFO within a timestamp,
+with the historical single-heap scheduler, kept as
+:class:`tests.reference_heap.HeapEngine`: FIFO within a timestamp,
 timestamps in order, callbacks deferred to the queue — so every golden
 stays bit-identical.  This suite generates random event soups —
 timeouts with heavy same-timestamp collisions, ``AnyOf``/``AllOf``
@@ -22,6 +23,7 @@ import pytest
 
 from repro.sim import Engine
 from repro.sim.engine import Interrupt
+from tests.reference_heap import HeapEngine
 
 #: Deliberately few distinct delays: collisions (many records in one
 #: timestamp bucket) are the interesting case for the calendar queue.
@@ -53,9 +55,9 @@ def build_ops(seed: int, n_procs: int = 6, max_steps: int = 5) -> list:
     return ops
 
 
-def run_soup(ops: list, legacy: bool) -> tuple:
+def run_soup(ops: list, engine_cls=Engine) -> tuple:
     """Interpret the op list; return (trace, final clock, counters)."""
-    eng = Engine(legacy_heap=legacy)
+    eng = engine_cls()
     trace: list = []
     procs: list = []
 
@@ -102,8 +104,8 @@ def run_soup(ops: list, legacy: bool) -> tuple:
 @pytest.mark.parametrize("seed", range(20))
 def test_calendar_queue_matches_legacy_heap(seed):
     ops = build_ops(seed)
-    calendar = run_soup(ops, legacy=False)
-    heap = run_soup(ops, legacy=True)
+    calendar = run_soup(ops)
+    heap = run_soup(ops, HeapEngine)
     assert calendar[0] == heap[0], "firing order diverged"
     assert calendar[1:] == heap[1:], "final clock or counters diverged"
 
@@ -112,8 +114,7 @@ def test_calendar_queue_matches_legacy_heap(seed):
 def test_soup_is_actually_colliding(seed):
     """Sanity: the generator produces the same-timestamp collisions the
     suite exists to cover (guards against a silently-weakened soup)."""
-    trace, _, scheduled, executed, _ = run_soup(build_ops(seed),
-                                                legacy=False)
+    trace, _, scheduled, executed, _ = run_soup(build_ops(seed))
     times = [entry[3] for entry in trace]
     assert len(times) != len(set(times)), "no same-timestamp collisions"
     assert executed == scheduled

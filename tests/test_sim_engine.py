@@ -162,6 +162,23 @@ def test_deadlock_detection(eng):
         eng.run_process(waiter(eng))
 
 
+def test_reentrant_run_rejected(eng):
+    def outer(eng):
+        yield eng.timeout(1.0)
+        eng.run()
+
+    def inner(eng):
+        yield eng.timeout(1.0)
+        return "done"
+
+    proc = eng.spawn(outer(eng))
+    eng.run()
+    assert proc.triggered and not proc.ok
+    assert "re-entrant" in str(proc.value)
+    # The rejected inner call leaves the engine usable.
+    assert eng.run_process(inner(eng)) == "done"
+
+
 def test_interrupt_mid_wait(eng):
     def victim(eng):
         try:
@@ -410,29 +427,6 @@ def test_events_executed_equals_scheduled_when_drained(eng):
     eng.run_process(proc(eng))
     assert eng.events_executed == eng.events_scheduled
     assert eng.events_pending == 0
-
-
-# -- legacy heap reference mode ---------------------------------------------------
-
-@pytest.mark.parametrize("how", ["arg", "env"])
-def test_legacy_heap_mode_matches(how, monkeypatch):
-    if how == "env":
-        monkeypatch.setenv("REPRO_LEGACY_HEAP", "1")
-        eng = Engine()
-    else:
-        eng = Engine(legacy_heap=True)
-    order = []
-
-    def worker(eng, name, delay):
-        yield eng.timeout(delay)
-        order.append((name, eng.now))
-
-    eng.spawn(worker(eng, "b", 2.0))
-    eng.spawn(worker(eng, "a", 1.0))
-    eng.spawn(worker(eng, "c", 2.0))
-    eng.run()
-    assert order == [("a", 1.0), ("b", 2.0), ("c", 2.0)]
-    assert eng.events_executed == eng.events_scheduled
 
 
 def test_nested_spawn_depth(eng):

@@ -96,24 +96,6 @@ def test_migration_cuda_checkpoint_unsupported_multi_gpu():
     assert math.isnan(result.downtime)
 
 
-def test_migration_clock_domains_matches_single(resnet_migrations):
-    """Sharding source and target into clock domains changes the
-    downtime only by the explicit control-message hops (microseconds
-    against a downtime of tenths of a second)."""
-    single = resnet_migrations["phos"]
-    sharded = migrate("phos", "resnet152-train", clock_domains=True)
-    assert sharded.supported
-    assert sharded.downtime == pytest.approx(single.downtime, abs=1e-3)
-    assert sharded.total_time == pytest.approx(single.total_time, abs=1e-3)
-
-
-def test_migration_clock_domains_baselines_rejected():
-    from repro.errors import InvalidValueError
-
-    with pytest.raises(InvalidValueError):
-        migrate("singularity", "resnet152-train", clock_domains=True)
-
-
 # --- serverless ------------------------------------------------------------------
 
 

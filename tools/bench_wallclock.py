@@ -146,11 +146,11 @@ def bench_interpreter(repeats: int = 200) -> dict:
 
 
 def _dma_scenario(use_legacy_loop: bool,
-                  legacy_heap: bool = False) -> tuple[float, int]:
+                  engine_cls=None) -> tuple[float, int]:
     """One contended bulk-copy scenario; returns (virtual end, events).
 
-    ``legacy_heap`` runs the same scenario on the engine's reference
-    single-heap scheduler (the pre-calendar-queue order semantics).
+    ``engine_cls`` (default :class:`~repro.sim.engine.Engine`) runs the
+    same scenario on another scheduler, e.g. the single-heap reference.
     """
     from repro import units
     from repro.gpu.dma import (
@@ -178,7 +178,7 @@ def _dma_scenario(use_legacy_loop: bool,
             moved += step
         return moved
 
-    eng = Engine(legacy_heap=legacy_heap)
+    eng = (engine_cls or Engine)()
     dma = DmaEngineSet(eng, "bench-gpu", 1)
 
     def bulk():
@@ -207,47 +207,49 @@ def _dma_scenario(use_legacy_loop: bool,
     return eng.now, eng.events_executed
 
 
-def bench_events(repeats: int = 20) -> dict:
+def bench_events(repeats: int = 20, reference=None) -> dict:
     """Scheduler events/second and the DMA coalescing event ratio.
 
-    Also measures the same workload on the engine's legacy single-heap
-    reference scheduler: ``calendar_vs_heap`` is a machine-independent
-    in-process A/B of the calendar queue against the old order-semantics
-    implementation (the CI regression gate uses this ratio, which is
-    stable across runner hardware where absolute events/s is not).
+    With ``reference`` (an :class:`~repro.sim.engine.Engine` subclass
+    such as the single-heap scheduler in ``tests/reference_heap.py``),
+    also runs the same workload on it: ``calendar_vs_heap`` is a
+    machine-independent in-process A/B of the calendar queue against
+    the old order-semantics implementation (the CI regression gate uses
+    this ratio, which is stable across runner hardware where absolute
+    events/s is not).
     """
     end_fast, events_fast = _dma_scenario(use_legacy_loop=False)
     end_legacy, events_legacy = _dma_scenario(use_legacy_loop=True)
-    end_heap, events_heap = _dma_scenario(use_legacy_loop=True,
-                                          legacy_heap=True)
-    if end_fast != end_legacy or end_heap != end_legacy:
+    if end_fast != end_legacy:
         raise AssertionError(
-            f"scenario diverged: {end_fast!r} / {end_legacy!r} / {end_heap!r}")
-    if events_heap != events_legacy:
-        raise AssertionError(
-            f"schedulers executed different event counts: "
-            f"{events_heap} != {events_legacy}")
+            f"scenario diverged: {end_fast!r} / {end_legacy!r}")
 
-    def throughput(legacy_heap: bool) -> float:
+    def throughput(engine_cls) -> float:
         t0 = time.perf_counter()
         total_events = 0
         for _ in range(repeats):
-            _, n = _dma_scenario(use_legacy_loop=True,
-                                 legacy_heap=legacy_heap)
+            _, n = _dma_scenario(use_legacy_loop=True, engine_cls=engine_cls)
             total_events += n
         return total_events / (time.perf_counter() - t0)
 
-    events_per_s = throughput(legacy_heap=False)
-    heap_events_per_s = throughput(legacy_heap=True)
-    return {
-        "events_per_s": events_per_s,
-        "legacy_heap_events_per_s": heap_events_per_s,
-        "calendar_vs_heap": events_per_s / heap_events_per_s,
+    out = {
+        "events_per_s": throughput(None),
         "scenario_events_coalesced": events_fast,
         "scenario_events_per_chunk_loop": events_legacy,
         "event_reduction": events_legacy / events_fast,
         "virtual_end_identical": True,
     }
+    if reference is not None:
+        end_heap, events_heap = _dma_scenario(use_legacy_loop=True,
+                                              engine_cls=reference)
+        if end_heap != end_legacy or events_heap != events_legacy:
+            raise AssertionError(
+                f"schedulers diverged: {end_heap!r} / {events_heap} vs "
+                f"{end_legacy!r} / {events_legacy}")
+        out["heap_events_per_s"] = throughput(reference)
+        out["calendar_vs_heap"] = (out["events_per_s"]
+                                   / out["heap_events_per_s"])
+    return out
 
 
 def bench_experiments(names: list[str], quick: bool = False) -> dict:
@@ -406,109 +408,6 @@ def bench_chaos_overhead(repeats: int = 3) -> dict:
         "tolerance": CHAOS_OVERHEAD_TOLERANCE,
         "within_tolerance": armed_overhead <= CHAOS_OVERHEAD_TOLERANCE,
     }
-
-
-def _domains_scenario(multi: bool, n_machines: int = 4,
-                      rounds: int = 200) -> tuple[float, int]:
-    """A ring of token-passing machines; returns (virtual end, events).
-
-    Each node alternates a local timer with a send to its successor and
-    a receive from its predecessor.  ``multi`` shards the ring into one
-    :class:`ClockDomain` per machine under the conservative sync loop;
-    otherwise everything shares one plain engine with degenerate
-    channels.  Virtual end time and event counts must be identical —
-    the wall-clock difference is pure synchronization overhead.
-    """
-    from repro.sim.domains import DomainChannel, World
-    from repro.sim.engine import Engine
-
-    latency = 5e-6
-    if multi:
-        world = World()
-        engines = [world.domain(f"m{i}") for i in range(n_machines)]
-    else:
-        world = None
-        eng = Engine()
-        engines = [eng] * n_machines
-    chans = {}
-    for i in range(n_machines):
-        j = (i + 1) % n_machines
-        if engines[i] is engines[j]:
-            chans[(i, j)] = DomainChannel.local(engines[i], latency,
-                                                name=f"ring{i}->{j}")
-        else:
-            chans[(i, j)] = world.channel(engines[i], engines[j], latency,
-                                          name=f"ring{i}->{j}")
-
-    def node(i):
-        eng = engines[i]
-        prev = (i - 1) % n_machines
-        succ = (i + 1) % n_machines
-        for _ in range(rounds):
-            yield eng.timeout(1e-3)
-            chans[(i, succ)].send(i)
-            yield chans[(prev, i)].recv()
-
-    for i in range(n_machines):
-        engines[i].spawn(node(i), name=f"node{i}")
-    if world is not None:
-        world.run()
-        return world.now, world.events_executed
-    engines[0].run()
-    return engines[0].now, engines[0].events_executed
-
-
-def bench_domains(repeats: int = 10) -> dict:
-    """Single- vs multi-domain scheduler throughput (``--section domains``).
-
-    Record-only: the conservative loop runs its domains *sequentially*
-    on one core, so multi-domain mode buys isolation and per-machine
-    clocks, not parallel speedup — the events/s ratio here is the honest
-    price of the round/floor bookkeeping.  ``effective_cpus`` is
-    recorded so a future parallel executor has a baseline to beat.
-    """
-    from repro.parallel.engine import effective_cpu_count
-
-    end_single, events_single = _domains_scenario(multi=False)
-    end_multi, events_multi = _domains_scenario(multi=True)
-    if end_single != end_multi:
-        raise AssertionError(
-            f"domain scenario diverged: {end_single!r} vs {end_multi!r}")
-    if events_single != events_multi:
-        raise AssertionError(
-            f"domain scenario event counts diverged: "
-            f"{events_single} vs {events_multi}")
-
-    def throughput(multi: bool) -> float:
-        t0 = time.perf_counter()
-        total = 0
-        for _ in range(repeats):
-            _, n = _domains_scenario(multi=multi)
-            total += n
-        return total / (time.perf_counter() - t0)
-
-    single_eps = throughput(multi=False)
-    multi_eps = throughput(multi=True)
-    return {
-        "n_machines": 4,
-        "scenario_events": events_single,
-        "virtual_end_identical": True,
-        "single_domain_events_per_s": single_eps,
-        "multi_domain_events_per_s": multi_eps,
-        "multi_vs_single": multi_eps / single_eps,
-        "effective_cpus": effective_cpu_count(),
-        "note": ("multi-domain mode executes domains sequentially under "
-                 "the conservative sync loop; it does not use more than "
-                 "one core yet, so the ratio is sync overhead, not "
-                 "parallelism"),
-    }
-
-
-def _print_domains(row: dict) -> None:
-    print(f"domains     : single {row['single_domain_events_per_s'] / 1e3:.0f}"
-          f"K events/s, multi {row['multi_domain_events_per_s'] / 1e3:.0f}K "
-          f"({row['multi_vs_single']:.2f}x; sequential loop, "
-          f"effective_cpus={row['effective_cpus']} unused)")
 
 
 def _delta_pair(content_chunk_bytes: "int | None" = None):
@@ -898,7 +797,6 @@ def run_bench(quick: bool = False, jobs: int = 4) -> dict:
         "python": sys.version.split()[0],
         "interpreter": bench_interpreter(repeats=50 if quick else 200),
         "engine": bench_events(repeats=5 if quick else 20),
-        "domains": bench_domains(repeats=3 if quick else 10),
         "experiments": bench_experiments(experiments, quick=quick),
         "storage_delta": bench_storage_delta(),
         "fleet": bench_fleet(),
@@ -930,8 +828,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="reduced workload set for CI smoke runs")
     parser.add_argument("--section",
-                        choices=["chaos_overhead", "storage_delta", "domains",
-                                 "fleet"],
+                        choices=["chaos_overhead", "storage_delta", "fleet"],
                         help="run a single named section instead of the "
                              "full benchmark")
     parser.add_argument("--jobs", type=int, default=4, metavar="N",
@@ -955,16 +852,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"REGRESSION: {line}", file=sys.stderr)
         if failures and not args.no_regress_check:
             return 1
-        return 0
-    if args.section == "domains":
-        # Record-only: no regression gate until domains run in parallel.
-        row = bench_domains()
-        _print_domains(row)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"schema": "bench-wallclock/v1",
-                           "domains": row}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
         return 0
     if args.section == "fleet":
         # Record-only: the virtual-time results are deterministic; the
@@ -1003,8 +890,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"interpreter : {interp['interpreter_instrs_per_s'] / 1e6:.2f} M instr/s")
     print(f"fast path   : {interp['fastpath_instrs_per_s'] / 1e6:.2f} M instr/s "
           f"({interp['speedup_plain']:.1f}x, twin {interp['speedup_twin']:.1f}x)")
-    print(f"engine      : {eng['events_per_s'] / 1e3:.0f} K events/s "
-          f"({eng['calendar_vs_heap']:.2f}x vs legacy heap), "
+    print(f"engine      : {eng['events_per_s'] / 1e3:.0f} K events/s, "
           f"DMA coalescing {eng['event_reduction']:.1f}x fewer events")
     for name, row in report["experiments"].items():
         print(f"{name:12s}: {row['wall_s']:.2f}s wall "
@@ -1020,9 +906,6 @@ def main(argv: list[str] | None = None) -> int:
               f"({row['parallel_speedup']:.2f}x vs serial, {mode}, "
               f"util {row['utilization']:.0%}, "
               f"warm hits {row['warm_cache_hits']})")
-    dom = report.get("domains")
-    if dom:
-        _print_domains(dom)
     sd = report.get("storage_delta")
     if sd:
         _print_storage_delta(sd)
