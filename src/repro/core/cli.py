@@ -83,6 +83,14 @@ def _default_profile_path(args) -> str:
     return "phos-profile.txt"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phos",
@@ -200,17 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "failure-driven restore)")
     p.add_argument("--no-migration", action="store_true",
                    help="disable migration-for-packing")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="fan (trace, seed, system) cells over N worker "
-                        "processes (output is bit-identical at any N)")
+    p.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
+                   help="fan (trace, seed, system) cells over up to N "
+                        "worker processes, at most one per usable CPU "
+                        "(output is bit-identical at any N)")
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser("bench", help="regenerate one paper figure/table")
     p.add_argument("--exp", required=True, choices=sorted(_EXPERIMENTS))
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="fan independent experiment cells out over N "
-                        "worker processes (default: $REPRO_JOBS or 1; "
-                        "output is bit-identical at any N)")
+    p.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
+                   help="fan independent experiment cells out over up to "
+                        "N worker processes, at most one per usable CPU "
+                        "(default 1; output is bit-identical at any N)")
     p.add_argument("--obs", action="store_true",
                    help="print one observability report per simulated world")
     p.add_argument("--profile", nargs="?", const="", metavar="FILE",

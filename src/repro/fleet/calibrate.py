@@ -13,16 +13,16 @@ discrete-event scheduler then replays those calibrated service times
 under load.  The probes are deterministic (virtual-clock simulations),
 so profiles are bit-identical in every worker process.
 
-``REPRO_NO_FASTPATH`` does not change any probe's virtual-time result
-(the PR 2 bit-identity guarantee), so a cached profile is valid under
-either setting.
+The compiled kernel plans do not change any probe's virtual-time
+result (they are checked against the interpreter), so a cached profile
+does not depend on which kernels took the fast path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro import units
 from repro.apps.specs import get_spec

@@ -45,41 +45,22 @@ into declared-order slots, so the determinism contract is untouched.
 Fallback path
 -------------
 
-The pool is skipped — cells run serially, in declared order, in this
-process — whenever any of these hold:
+The pool has ``min(jobs, effective CPUs, cells)`` workers.  Cells run
+serially, in declared order, in this process whenever any of these
+hold (the reason is recorded in :attr:`PoolRunStats.fallback_reason`):
 
-* resolved ``jobs <= 1`` or there is at most one cell;
-* ``REPRO_NO_PARALLEL=1`` (determinism debugging: one process, one
-  thread, breakpoints work);
-* this process *is* a pool worker (no nested pools);
-* ``serial_only=True`` was passed (the harness does this when ``--obs``
-  is active, because observers live in-process);
-* the runner or a cell fails to pickle, or the pool cannot be created;
-* the **auto-serial projection** (below) predicts the pool cannot beat
-  serial for this run.
+* ``serial_only=True`` was passed (``"serial-only"``; the harness does
+  this when ``--obs`` is active, because observers live in-process);
+* this process *is* a pool worker (``"nested"``; no nested pools);
+* resolved ``jobs <= 1`` or there is at most one cell (``"jobs"``);
+* the process may run on one CPU only (``"cpus"``): a pool there
+  cannot beat serial on the compute-bound cells this engine exists
+  for, it only adds spawn and dispatch cost;
+* the runner or a cell fails to pickle (``"pickle"``), or the pool
+  cannot be created (``"pool: ..."``).
 
-Every fallback bumps the ``parallel/fallback`` obs counter with a
-``reason`` label.
-
-Auto-serial projection
-----------------------
-
-Every ``run_cells`` call records the mean per-cell wall time under its
-label (an exponentially weighted average across runs, serial and pool
-alike).  When history exists, the next run projects both modes::
-
-    serial ≈ mean_cell · n_cells
-    pool   ≈ mean_cell · n_cells / min(jobs, effective CPUs)
-             + dispatch cost · n_cells  (+ pool spawn cost when cold)
-
-and takes the pool only when serial is projected at least
-:data:`AUTO_MARGIN` slower.  On a box whose CPU affinity mask is
-smaller than ``--jobs`` (CI runners, cgroup-limited containers) this
-is what stops the pool from *losing* to serial on compute-bound
-figures.  ``REPRO_PARALLEL_AUTO=0`` disables the projection (tests
-asserting pool behavior pin this).  Sleep-bound workloads do scale
-past the CPU count; the projection is deliberately conservative for
-the compute-bound experiment cells this engine exists for.
+Every fallback except ``"jobs"`` bumps the ``parallel/fallback`` obs
+counter with a ``reason`` label.
 
 Failure surfacing
 -----------------
@@ -103,52 +84,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro import obs
-from repro.errors import ReproError
-
-#: Environment variable naming the default worker count (``--jobs``
-#: beats it; absent/unparsable means 1 = serial).
-JOBS_ENV = "REPRO_JOBS"
-
-#: Set to ``1`` to force the in-process serial fallback everywhere.
-NO_PARALLEL_ENV = "REPRO_NO_PARALLEL"
-
-#: Present (with any value) inside pool workers; guards nested pools.
-WORKER_ENV = "REPRO_PARALLEL_WORKER"
-
-#: Set to ``0`` to disable the history-based auto-serial projection.
-AUTO_ENV = "REPRO_PARALLEL_AUTO"
+from repro.errors import InvalidValueError, ReproError
+from repro.parallel import worker
 
 #: Target chunks per worker: small enough to amortize dispatch, large
 #: enough that stragglers still rebalance across the pool.
 CHUNKS_PER_WORKER = 4
 
-#: Measured per-cell pool dispatch cost (submit + pickle + IPC + merge
-#: bookkeeping) on the reference container; feeds the projection only.
-DISPATCH_COST_S = 0.002
-
-#: Cold-start cost of spawning a fresh pool of workers (interpreter
-#: start + imports per worker, overlapped across workers).
-POOL_SPAWN_S = 1.0
-
-#: Serial must project at least this much slower before the pool is
-#: taken — the pool has to *win*, not tie.
-AUTO_MARGIN = 1.2
-
-#: Process-wide default set by ``phos ... --jobs`` (None → environment).
+#: Process-wide default set by ``phos ... --jobs`` (None → 1, serial).
 _default_jobs: Optional[int] = None
-
-#: EWMA of mean per-cell wall seconds, keyed by run label.  Fed by
-#: every run (serial and pool) and read by the auto-serial projection.
-_cell_cost: dict[str, float] = {}
 
 
 def effective_cpu_count() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     ``os.cpu_count()`` reports the machine; cgroup/affinity-limited
-    containers often get far fewer.  Speedup projections must use this
-    number — a 4-worker pool on a 1-CPU allowance runs compute-bound
-    cells sequentially anyway.
+    containers often get far fewer.  The pool is sized by this number —
+    a 4-worker pool on a 1-CPU allowance runs compute-bound cells
+    sequentially anyway.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -228,52 +181,39 @@ def set_default_jobs(jobs: Optional[int]) -> None:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit arg > ``--jobs`` default > $REPRO_JOBS > 1."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    if _default_jobs is not None:
-        return max(1, int(_default_jobs))
-    env = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """Worker count: explicit arg > ``--jobs`` default > 1.
+
+    Raises :class:`~repro.errors.InvalidValueError` for a count below 1
+    rather than quietly running serial.
+    """
+    if jobs is None:
+        jobs = 1 if _default_jobs is None else _default_jobs
+    if jobs < 1:
+        raise InvalidValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 # --------------------------------------------------------------------------
 # the shared pool
 # --------------------------------------------------------------------------
 
-#: One persistent executor per (max_workers, env signature).  Reuse
-#: across run_cells calls keeps workers — and their warm Program/plan
-#: caches — alive for a whole ``phos bench`` / bench-harness session.
-_pools: dict[tuple, ProcessPoolExecutor] = {}
-
-
-def _env_signature() -> tuple:
-    """Parent-env values baked into workers at spawn time.
-
-    Workers inherit the environment once; flags read dynamically by the
-    simulator (the fast-path kill switch) must therefore key the pool,
-    so tests flipping ``REPRO_NO_FASTPATH`` get matching workers.
-    """
-    return (os.environ.get("REPRO_NO_FASTPATH", ""),)
+#: One persistent executor per worker count.  Reuse across run_cells
+#: calls keeps workers — and their warm Program/plan caches — alive for
+#: a whole ``phos bench`` / bench-harness session.
+_pools: dict[int, ProcessPoolExecutor] = {}
 
 
 def _get_pool(max_workers: int) -> ProcessPoolExecutor:
     import multiprocessing
 
-    key = (max_workers, _env_signature())
-    pool = _pools.get(key)
+    pool = _pools.get(max_workers)
     if pool is None:
-        from repro.parallel import worker
-
         pool = ProcessPoolExecutor(
             max_workers=max_workers,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=worker.init_worker,
         )
-        _pools[key] = pool
+        _pools[max_workers] = pool
         obs.counter("parallel/pool/spawned").inc()
     return pool
 
@@ -322,33 +262,6 @@ def _run_serial(runner, cells: Sequence[Cell], stats: PoolRunStats) -> list:
     return results
 
 
-def _record_cost(label: str, stats: PoolRunStats) -> None:
-    """Fold this run's mean per-cell wall into the cost history."""
-    if not stats.cell_wall_s:
-        return
-    mean = sum(stats.cell_wall_s) / len(stats.cell_wall_s)
-    prev = _cell_cost.get(label)
-    _cell_cost[label] = mean if prev is None else 0.5 * prev + 0.5 * mean
-
-
-def _auto_serial_reason(label: str, n_cells: int, max_workers: int) -> str:
-    """``"auto"`` when the projection says the pool cannot win."""
-    if os.environ.get(AUTO_ENV, "1") == "0":
-        return ""
-    hist = _cell_cost.get(label)
-    if hist is None:
-        return ""  # first sighting of this label: let the pool try
-    eff = min(max_workers, effective_cpu_count())
-    pool_cached = (max_workers, _env_signature()) in _pools
-    projected_serial = hist * n_cells
-    projected_pool = (hist * n_cells / eff
-                      + DISPATCH_COST_S * n_cells
-                      + (0.0 if pool_cached else POOL_SPAWN_S))
-    if projected_serial < projected_pool * AUTO_MARGIN:
-        return "auto"
-    return ""
-
-
 def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
               jobs: Optional[int] = None, label: str = "",
               serial_only: bool = False) -> list:
@@ -364,28 +277,27 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
     cells = list(cells)
     n = resolve_jobs(jobs)
     label = label or (cells[0].exp_id if cells else "empty")
+    cpus = effective_cpu_count()
     stats = PoolRunStats(label=label, mode="serial", jobs=1, n_cells=len(cells),
-                         cpu_count=os.cpu_count() or 1,
-                         effective_cpus=effective_cpu_count())
+                         cpu_count=os.cpu_count() or 1, effective_cpus=cpus)
     _last_stats = stats
+    max_workers = min(n, cpus, len(cells))
 
     reason = ""
     if serial_only:
         reason = "serial-only"
-    elif os.environ.get(NO_PARALLEL_ENV):
-        reason = "env"
-    elif os.environ.get(WORKER_ENV):
+    elif worker.IN_WORKER:
         reason = "nested"
     elif n <= 1 or len(cells) <= 1:
         reason = "jobs"
+    elif max_workers <= 1:
+        reason = "cpus"
     elif not _picklable(runner, cells):
         reason = "pickle"
-    else:
-        reason = _auto_serial_reason(label, len(cells), n)
 
     t0 = time.perf_counter()
     if reason:
-        if reason not in ("jobs",):
+        if reason != "jobs":
             obs.counter("parallel/fallback", reason=reason).inc()
         stats.fallback_reason = reason
         try:
@@ -394,14 +306,9 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
             stats.wall_s = time.perf_counter() - t0
             stats.utilization = 1.0 if stats.wall_s else 0.0
             stats.workers_used = 1
-            _record_cost(label, stats)
             _record_obs(stats)
         return results
 
-    # Size the executor by the resolved job count, not the cell count:
-    # workers spawn lazily, and a jobs-keyed pool is shared across every
-    # figure in a bench session (warm Program/plan caches included).
-    max_workers = n
     try:
         pool = _get_pool(max_workers)
     except OSError as exc:  # pragma: no cover - resource exhaustion
@@ -411,11 +318,8 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
         stats.wall_s = time.perf_counter() - t0
         stats.utilization = 1.0 if stats.wall_s else 0.0
         stats.workers_used = 1
-        _record_cost(label, stats)
         _record_obs(stats)
         return results
-
-    from repro.parallel import worker
 
     stats.mode = "pool"
     stats.jobs = max_workers
@@ -479,9 +383,8 @@ def run_cells(runner: Callable[[Cell], object], cells: Sequence[Cell],
         stats.wall_s = time.perf_counter() - t0
         stats.workers_used = len(pids)
         busy = sum(stats.cell_wall_s)
-        if stats.wall_s > 0 and max_workers > 0:
+        if stats.wall_s > 0:
             stats.utilization = busy / (stats.wall_s * max_workers)
-        _record_cost(label, stats)
         _record_obs(stats)
     return results
 

@@ -1,12 +1,12 @@
 """Pool-worker side of the parallel experiment engine.
 
 Each worker is a **spawned** interpreter: nothing leaks in from the
-parent except the environment and the pickled ``(runner, cell)``
-pairs.  :func:`init_worker` runs once per worker process and
+parent except the pickled ``(runner, cell)`` pairs.  :func:`init_worker`
+runs once per worker process and
 
-* marks the process as a worker (``REPRO_PARALLEL_WORKER=1``) so a
-  runner that itself calls :func:`repro.parallel.run_cells` degrades
-  to serial instead of nesting pools;
+* marks the process as a worker (:data:`IN_WORKER`) so a runner that
+  itself calls :func:`repro.parallel.run_cells` degrades to serial
+  instead of nesting pools;
 * enables the warm :class:`~repro.gpu.isa.Program` cache
   (:func:`repro.apps.base.enable_program_cache`): consecutive cells on
   the same worker rebuild identical kernel binaries, so sharing the
@@ -33,10 +33,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+#: True inside pool workers; :func:`repro.parallel.run_cells` reads it
+#: to refuse nested pools.
+IN_WORKER = False
+
+
 def init_worker() -> None:
-    os.environ[
-        "REPRO_PARALLEL_WORKER"
-    ] = "1"  # literal: engine.WORKER_ENV (kept import-light for spawn)
+    global IN_WORKER
+    IN_WORKER = True
     from repro.apps import base
 
     base.enable_program_cache()

@@ -27,29 +27,19 @@ ships only the chunk-aligned dirty spans of each captured buffer after
 an on-device hash scan (see ``copy_gpu_buffers``), which is what moves
 the wall-clock cost to O(dirty).
 
-``REPRO_NO_HASHCACHE=1`` is the kill switch: it disables hash
-*consumption* (every seal rehashes everything) while bookkeeping
-continues, so images and virtual timings are byte-identical with the
-cache on or off — the differential suite in
-``tests/test_property_hashcache.py`` asserts exactly that.
+Every cache hit goes through :meth:`BufferHashCache.valid_entry`.  The
+differential suite in ``tests/test_property_hashcache.py`` and
+``tests/test_equivalence.py`` stub it to always miss (every seal
+rehashes everything, bookkeeping continues) and assert that images and
+virtual timings stay byte-identical.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.gpu.ranges import RangeSet
-
-#: Kill switch: when set (non-empty), cached hashes are never consumed.
-KILL_SWITCH_ENV = "REPRO_NO_HASHCACHE"
-
-
-def hash_cache_enabled() -> bool:
-    """True unless ``REPRO_NO_HASHCACHE`` is set in the environment."""
-    return not os.environ.get(KILL_SWITCH_ENV)
-
 
 @dataclass
 class HashCacheEntry:
@@ -71,11 +61,6 @@ class BufferHashCache:
 
     def __init__(self) -> None:
         self.entries: dict[int, HashCacheEntry] = {}
-
-    # -- configuration -------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return hash_cache_enabled()
 
     # -- dirty feed (frontend write tracking) --------------------------------
     def note_write(self, buffer_id: int, start: int, end: int) -> None:

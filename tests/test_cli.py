@@ -62,3 +62,12 @@ def test_bench_command(capsys):
 def test_invalid_app_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["checkpoint", "--app", "not-a-model"])
+
+
+@pytest.mark.parametrize("command", [["bench", "--exp", "fig16"], ["fleet"]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

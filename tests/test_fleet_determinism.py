@@ -3,8 +3,7 @@
 The fig_fleet cells calibrate their own profiles with real protocol
 probes inside each worker process; the probes run on a virtual clock,
 so every worker measures the identical numbers and the merged report
-must be byte-for-byte the same at any parallelism.  CI runs this file
-with the fast path both on and off (``REPRO_NO_FASTPATH``).
+must be byte-for-byte the same at any parallelism.
 
 Kept to one small single-GPU function and short traces: the point is
 the merge/aggregation determinism, not fleet behaviour (that is
@@ -13,7 +12,9 @@ the merge/aggregation determinism, not fleet behaviour (that is
 
 import pytest
 
+from repro import parallel
 from repro.experiments import fig_fleet
+from repro.parallel import engine as parallel_engine
 
 FAST_KWARGS = dict(
     kinds=("bursty",),
@@ -30,10 +31,14 @@ def serial_result():
     return fig_fleet.run(jobs=1, **FAST_KWARGS)
 
 
-def test_parallel_matches_serial_bit_for_bit(serial_result):
-    parallel = fig_fleet.run(jobs=4, **FAST_KWARGS)
-    assert parallel.rows == serial_result.rows
-    assert parallel.format() == serial_result.format()
+def test_parallel_matches_serial_bit_for_bit(serial_result, monkeypatch):
+    # Pin the CPU count so the pool spawns on one-CPU runners too: the
+    # comparison must be pool against serial, never serial against serial.
+    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 4)
+    fanned = fig_fleet.run(jobs=4, **FAST_KWARGS)
+    assert parallel.last_run_stats().mode == "pool"
+    assert fanned.rows == serial_result.rows
+    assert fanned.format() == serial_result.format()
 
 
 def test_rows_cover_every_cell_plus_pooled(serial_result):

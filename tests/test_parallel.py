@@ -5,14 +5,15 @@ Two layers of coverage:
 * **Engine unit tests** — declared-order merge under out-of-order
   completion, failed cells surfacing as :class:`CellError` with their
   cell key (runner exceptions *and* dead workers, which must break the
-  pool instead of hanging the merge), the ``REPRO_NO_PARALLEL``/
-  pickling/nested-worker fallbacks, job resolution precedence, and the
-  warm ``Program`` cache.
+  pool instead of hanging the merge), the CPU-count/pickling/
+  nested-worker fallbacks, job resolution precedence, and the warm
+  ``Program`` cache.
 * **Figure golden bit-identity** — the four goldened figures must
   format identically at ``--jobs 1`` (in-process serial) and
-  ``--jobs 4`` (spawned pool).  CI re-runs these with
-  ``REPRO_NO_FASTPATH=1`` (see the ``parallel-matrix`` job), covering
-  the fast-path-off half of the determinism matrix.
+  ``--jobs 4`` (spawned pool).
+
+Tests that assert pool behaviour pin ``effective_cpu_count`` to 4 so
+the pool also spawns on runners with one usable CPU.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro import parallel
+from repro.errors import InvalidValueError
 from repro.parallel import Cell, CellError
 from repro.parallel import engine as parallel_engine
-from repro.parallel.engine import (
-    AUTO_ENV,
-    JOBS_ENV,
-    NO_PARALLEL_ENV,
-    WORKER_ENV,
-)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -71,6 +67,12 @@ def image_id_cell(cell: Cell) -> tuple:
                          for i in range(4)]
 
 
+def nested_cell(cell: Cell) -> str:
+    parallel.run_cells(echo_cell, [Cell("inner", (i,)) for i in range(2)],
+                       jobs=4)
+    return parallel.last_run_stats().fallback_reason
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _pool_cleanup():
     # One shared pool serves the whole module (workers and their warm
@@ -80,39 +82,32 @@ def _pool_cleanup():
 
 
 @pytest.fixture
-def no_env(monkeypatch):
-    for var in (JOBS_ENV, NO_PARALLEL_ENV, WORKER_ENV):
-        monkeypatch.delenv(var, raising=False)
-    # Pin the auto-serial projection off and forget cost history: tests
-    # below assert *pool* behavior with deliberately tiny cells, which
-    # the projection would rightly route to serial.
-    monkeypatch.setenv(AUTO_ENV, "0")
-    saved = dict(parallel_engine._cell_cost)
-    parallel_engine._cell_cost.clear()
-    yield
-    parallel_engine._cell_cost.clear()
-    parallel_engine._cell_cost.update(saved)
+def cpus4(monkeypatch):
+    """Let the pool size itself as on a 4-CPU box."""
+    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 4)
 
 
 # -- job resolution ---------------------------------------------------------------
 
-def test_resolve_jobs_precedence(no_env, monkeypatch):
+def test_resolve_jobs_precedence():
     assert parallel.resolve_jobs() == 1
-    monkeypatch.setenv(JOBS_ENV, "3")
-    assert parallel.resolve_jobs() == 3
     parallel.set_default_jobs(2)
     try:
-        assert parallel.resolve_jobs() == 2     # CLI default beats env
+        assert parallel.resolve_jobs() == 2     # CLI default beats 1
         assert parallel.resolve_jobs(5) == 5    # explicit beats both
     finally:
         parallel.set_default_jobs(None)
-    monkeypatch.setenv(JOBS_ENV, "banana")
-    assert parallel.resolve_jobs() == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_cells_rejects_jobs_below_one(jobs):
+    with pytest.raises(InvalidValueError):
+        parallel.run_cells(echo_cell, [Cell("t", (0,))], jobs=jobs)
 
 
 # -- merge order ------------------------------------------------------------------
 
-def test_serial_results_keep_declared_order(no_env):
+def test_serial_results_keep_declared_order():
     cells = [Cell("t", (i,), {"value": i * 10}) for i in range(5)]
     results = parallel.run_cells(echo_cell, cells, jobs=1)
     assert results == [("ran", (i,), i * 10) for i in range(5)]
@@ -121,7 +116,7 @@ def test_serial_results_keep_declared_order(no_env):
     assert len(stats.cell_wall_s) == 5
 
 
-def test_pool_merge_is_declared_order_not_completion_order(no_env):
+def test_pool_merge_is_declared_order_not_completion_order(cpus4):
     n = 4
     cells = [Cell("t", (i,), {"sleep_s": (n - i) * 0.15}) for i in range(n)]
     results = parallel.run_cells(sleepy_cell, cells, jobs=n)
@@ -135,7 +130,7 @@ def test_pool_merge_is_declared_order_not_completion_order(no_env):
 # -- failure surfacing ------------------------------------------------------------
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_failed_cell_raises_with_its_key(no_env, jobs):
+def test_failed_cell_raises_with_its_key(cpus4, jobs):
     cells = [Cell("exp", ("ok",)),
              Cell("exp", ("bad", "cell"), {"boom": True}),
              Cell("exp", ("later",))]
@@ -145,7 +140,7 @@ def test_failed_cell_raises_with_its_key(no_env, jobs):
     assert err.value.cell.key == ("bad", "cell")
 
 
-def test_dead_worker_surfaces_instead_of_hanging(no_env):
+def test_dead_worker_surfaces_instead_of_hanging(cpus4):
     cells = [Cell("exp", ("victim",), {"die": True}),
              Cell("exp", ("bystander",))]
     with pytest.raises(CellError) as err:
@@ -157,7 +152,7 @@ def test_dead_worker_surfaces_instead_of_hanging(no_env):
     assert results == [("ran", ("again",), None)] * 2
 
 
-def test_image_ids_unique_across_pool_workers(no_env):
+def test_image_ids_unique_across_pool_workers(cpus4):
     """PR-6 regression: `CheckpointImage.id` came from a process-global
     counter, so images minted in different pool workers collided when
     merged into one catalog/world.  Ids are now pid-qualified."""
@@ -174,17 +169,28 @@ def test_image_ids_unique_across_pool_workers(no_env):
 
 # -- fallbacks --------------------------------------------------------------------
 
-def test_no_parallel_env_forces_serial(no_env, monkeypatch):
-    monkeypatch.setenv(NO_PARALLEL_ENV, "1")
+def test_one_cpu_runs_serial(monkeypatch):
+    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 1)
     cells = [Cell("t", (i,)) for i in range(3)]
     results = parallel.run_cells(echo_cell, cells, jobs=4)
     assert [r[1] for r in results] == [(0,), (1,), (2,)]
     stats = parallel.last_run_stats()
     assert stats.mode == "serial"
-    assert stats.fallback_reason == "env"
+    assert stats.fallback_reason == "cpus"
 
 
-def test_unpicklable_runner_falls_back_to_serial(no_env):
+def test_pool_size_is_min_of_jobs_cpus_and_cells(monkeypatch):
+    cells = [Cell("t", (i,)) for i in range(4)]
+    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 2)
+    parallel.run_cells(echo_cell, cells, jobs=4)
+    assert parallel.last_run_stats().jobs == 2   # bounded by CPUs
+    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 4)
+    parallel.run_cells(echo_cell, cells[:2], jobs=4)
+    assert parallel.last_run_stats().jobs == 2   # bounded by cells
+    assert parallel.last_run_stats().mode == "pool"
+
+
+def test_unpicklable_runner_falls_back_to_serial(cpus4):
     captured = []
 
     def local_runner(cell):  # closures don't pickle
@@ -198,70 +204,24 @@ def test_unpicklable_runner_falls_back_to_serial(no_env):
     assert parallel.last_run_stats().fallback_reason == "pickle"
 
 
-def test_worker_processes_never_nest_pools(no_env, monkeypatch):
-    monkeypatch.setenv(WORKER_ENV, "1")
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(2)],
-                                 jobs=4)
-    assert len(results) == 2
-    assert parallel.last_run_stats().fallback_reason == "nested"
+def test_worker_processes_never_nest_pools(cpus4):
+    results = parallel.run_cells(nested_cell,
+                                 [Cell("outer", (i,)) for i in range(2)],
+                                 jobs=2)
+    assert parallel.last_run_stats().mode == "pool"
+    assert results == ["nested", "nested"]
 
 
-def test_serial_only_flag_pins_observed_runs(no_env):
+def test_serial_only_flag_pins_observed_runs():
     results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(2)],
                                  jobs=4, serial_only=True)
     assert len(results) == 2
     assert parallel.last_run_stats().fallback_reason == "serial-only"
 
 
-# -- auto-serial projection -------------------------------------------------------
-
-def test_auto_serial_skips_pool_for_tiny_cells(no_env, monkeypatch):
-    """With history saying cells are dispatch-cost-sized, the projection
-    keeps the run serial even though jobs and cell count allow a pool."""
-    monkeypatch.setenv(AUTO_ENV, "1")
-    parallel_engine._cell_cost["t"] = 1e-4  # far below DISPATCH_COST_S
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=4)
-    assert [r[1] for r in results] == [(i,) for i in range(4)]
-    stats = parallel.last_run_stats()
-    assert stats.mode == "serial"
-    assert stats.fallback_reason == "auto"
-
-
-def test_auto_serial_lets_big_cells_use_the_pool(no_env, monkeypatch):
-    """History of heavy cells projects a pool win → no fallback."""
-    monkeypatch.setenv(AUTO_ENV, "1")
-    monkeypatch.setattr(parallel_engine, "effective_cpu_count", lambda: 8)
-    parallel_engine._cell_cost["t"] = 30.0  # pretend cells take 30s each
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=4)
-    assert len(results) == 4
-    assert parallel.last_run_stats().mode == "pool"
-
-
-def test_auto_serial_first_run_has_no_history(no_env, monkeypatch):
-    monkeypatch.setenv(AUTO_ENV, "1")
-    results = parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(4)],
-                                 jobs=2)
-    assert len(results) == 4
-    assert parallel.last_run_stats().mode == "pool"  # optimistic first try
-    # ... and the run itself seeded the history for next time.
-    assert "t" in parallel_engine._cell_cost
-
-
-def test_every_run_updates_cost_history(no_env):
-    parallel.run_cells(echo_cell, [Cell("hist", (i,)) for i in range(3)],
-                       jobs=1)
-    first = parallel_engine._cell_cost["hist"]
-    assert first >= 0.0
-    parallel.run_cells(echo_cell, [Cell("hist", (i,)) for i in range(3)],
-                       jobs=1)
-    assert "hist" in parallel_engine._cell_cost  # EWMA folded, not replaced
-
-
 # -- batched dispatch -------------------------------------------------------------
 
-def test_pool_batches_cells_into_chunks(no_env):
+def test_pool_batches_cells_into_chunks(cpus4):
     n = 16
     cells = [Cell("t", (i,), {"value": i}) for i in range(n)]
     results = parallel.run_cells(echo_cell, cells, jobs=2)
@@ -274,7 +234,7 @@ def test_pool_batches_cells_into_chunks(no_env):
     assert stats.result_bytes > 0
 
 
-def test_batched_failure_names_exact_cell(no_env):
+def test_batched_failure_names_exact_cell(cpus4):
     # The failing cell sits mid-chunk; the error must name it, not the
     # chunk head, and must be the earliest-declared failure.
     cells = ([Cell("exp", ("ok", i)) for i in range(5)]
@@ -286,7 +246,7 @@ def test_batched_failure_names_exact_cell(no_env):
     assert err.value.cell.key == ("bad", "cell")
 
 
-def test_stats_report_real_and_effective_cpus(no_env):
+def test_stats_report_real_and_effective_cpus():
     parallel.run_cells(echo_cell, [Cell("t", (i,)) for i in range(2)], jobs=1)
     stats = parallel.last_run_stats()
     assert stats.cpu_count == os.cpu_count()
@@ -327,12 +287,17 @@ def _golden(name: str) -> str:
     return (GOLDENS / f"{name}.txt").read_text().rstrip("\n")
 
 
+def _assert_mode(jobs: int) -> None:
+    assert parallel.last_run_stats().mode == ("pool" if jobs > 1 else "serial")
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_fig11_reduced_bit_identical_across_jobs(no_env, jobs):
+def test_fig11_reduced_bit_identical_across_jobs(cpus4, jobs):
     from repro.experiments.fig11_stall import run
 
     got = run(checkpoint_apps=("resnet152-train",),
               restore_apps=("resnet152-infer",), jobs=jobs).format()
+    _assert_mode(jobs)
     assert got.rstrip("\n") == _golden("fig11_reduced")
 
 
@@ -342,9 +307,10 @@ def test_fig11_reduced_bit_identical_across_jobs(no_env, jobs):
     ("fig17", "repro.experiments.fig17_recopy_breakdown"),
     ("fig18", "repro.experiments.fig18_restore_breakdown"),
 ])
-def test_breakdown_figures_bit_identical_across_jobs(no_env, fig, module,
+def test_breakdown_figures_bit_identical_across_jobs(cpus4, fig, module,
                                                      jobs):
     import importlib
 
     got = importlib.import_module(module).run(jobs=jobs).format()
+    _assert_mode(jobs)
     assert got.rstrip("\n") == _golden(fig)

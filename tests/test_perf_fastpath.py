@@ -145,21 +145,6 @@ def test_differential_fuzz_interpreter_vs_plan(validation_ranges):
         )
 
 
-def test_fastpath_env_kill_switch(monkeypatch):
-    """REPRO_NO_FASTPATH=1 must force every launch through the interpreter."""
-    from repro.perf.plans import plan_cache_stats, reset_plan_cache_stats
-
-    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    reset_plan_cache_stats()
-    mem = DeviceMemory(capacity=16 * MIB, default_data_size=8 * N_WORDS)
-    x = mem.alloc(8 * N_WORDS)
-    y = mem.alloc(8 * N_WORDS)
-    run = run_kernel(build_copy(), [x.addr, y.addr, 8], 8, mem)
-    assert run.steps > 0
-    stats = plan_cache_stats()
-    assert stats["hit"] == 0 and stats["miss"] == 0
-
-
 # --- DMA coalescing determinism ----------------------------------------------
 
 

@@ -2,7 +2,8 @@
 
 The incremental hash cache is a pure performance device — with it, a
 seal rehashes only chunks overlapping tracked writes; without it
-(``REPRO_NO_HASHCACHE=1``), every chunk is rehashed.  These tests
+(``BufferHashCache.valid_entry`` stubbed to always miss), every chunk
+is rehashed.  These tests
 replay identical randomized scenarios (dirty patterns × chunk sizes,
 including free/realloc-at-the-same-address and mid-chunk partial
 writes) down both paths and require the sealed delta images to be
@@ -20,10 +21,16 @@ from repro.storage.delta import (
     materialize,
     seal_delta,
 )
-from repro.storage.hashcache import KILL_SWITCH_ENV, BufferHashCache
+from repro.storage.hashcache import BufferHashCache
 from repro.storage.image import GpuBufferRecord
 
 from tests.toyapp import ToyApp, image_gpu_state
+
+
+def _always_miss(monkeypatch):
+    """Make every cache lookup miss, so each seal rehashes everything."""
+    monkeypatch.setattr(BufferHashCache, "valid_entry",
+                        lambda self, buffer_id, **layout: None)
 
 
 def _canon(image: DeltaImage):
@@ -54,9 +61,9 @@ def _canon(image: DeltaImage):
 def _play(seed: int, chunk_bytes: int, rounds: int = 3):
     """One randomized chain of seals; returns each round's canon form.
 
-    Reads the kill-switch environment through the cache exactly like
-    the protocol does, so running it under both settings is the
-    differential experiment.
+    Consults the cache exactly like the protocol does, so running it
+    with and without :func:`_always_miss` is the differential
+    experiment.
     """
     rng = random.Random(seed)
     cache = BufferHashCache()
@@ -157,9 +164,8 @@ def _play(seed: int, chunk_bytes: int, rounds: int = 3):
 @pytest.mark.parametrize("chunk_bytes", [64, 256, 1024])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
 def test_cache_on_off_byte_identical(seed, chunk_bytes, monkeypatch):
-    monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
     with_cache = _play(seed, chunk_bytes)
-    monkeypatch.setenv(KILL_SWITCH_ENV, "1")
+    _always_miss(monkeypatch)
     without_cache = _play(seed, chunk_bytes)
     assert with_cache == without_cache
 
@@ -211,12 +217,8 @@ def test_realloc_at_same_address_is_a_new_buffer():
     assert 7 not in child.delta_gpu[0]
 
 
-def _protocol_chain(monkeypatch, kill_switch: bool):
+def _protocol_chain():
     """A full incremental protocol chain (root + two deltas)."""
-    if kill_switch:
-        monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-    else:
-        monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
     from repro.api.runtime import GpuProcess
     from repro.cluster import Machine
     from repro.core.daemon import Phos
@@ -252,8 +254,9 @@ def _protocol_chain(monkeypatch, kill_switch: bool):
 
 def test_protocol_chain_cache_on_off_identical(monkeypatch):
     """End-to-end: same images AND same virtual time either way."""
-    canon_on, t_on, images_on = _protocol_chain(monkeypatch, False)
-    canon_off, t_off, _ = _protocol_chain(monkeypatch, True)
+    canon_on, t_on, images_on = _protocol_chain()
+    _always_miss(monkeypatch)
+    canon_off, t_off, _ = _protocol_chain()
     assert canon_on == canon_off
     assert t_on == t_off
     # The chain also materializes to a plain full image.

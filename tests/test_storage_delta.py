@@ -5,9 +5,9 @@ tables, :func:`seal_delta`/:func:`materialize` round trips, chain
 walking with cycle/missing-parent detection, the catalog's delta
 commit/revocation rules, the v2 on-disk format, and the acceptance
 criterion that a delta-chain restore is bit-identical to the
-equivalent full-image restore on fig16's workload.  CI re-runs this
-file with ``REPRO_NO_FASTPATH=1`` (the ``image-format`` job), covering
-the fast-path-off half of the matrix.
+equivalent full-image restore on fig16's workload.  The same delta
+bytes with the fast paths stubbed out are checked in
+``tests/test_equivalence.py``.
 """
 
 import pytest
@@ -513,7 +513,7 @@ def test_v2_chunk_size_mismatch_rejected(chain, tmp_path):
 def test_fig16_workload_chain_restore_bit_identical():
     """Acceptance: on fig16's workload (llama2-13b-train), restoring a
     delta chain equals restoring an equivalent full image, byte for
-    byte.  CI runs this with the fast path on and off."""
+    byte."""
     from repro.experiments import harness
 
     world = harness.build_world("llama2-13b-train")

@@ -12,11 +12,7 @@ from repro.storage.delta import (
     dirty_chunk_span_bytes,
     hash_chunk,
 )
-from repro.storage.hashcache import (
-    KILL_SWITCH_ENV,
-    BufferHashCache,
-    hash_cache_enabled,
-)
+from repro.storage.hashcache import BufferHashCache
 
 
 # -- BufferHashCache ---------------------------------------------------------
@@ -92,15 +88,6 @@ def test_dirty_extent_chunk_size_agnostic():
                               data_len=1024) is None
     assert cache.dirty_extent(1, parent_id="p", addr=0x1000, size=4096,
                               data_len=999) is None
-
-
-def test_kill_switch_env(monkeypatch):
-    monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
-    assert hash_cache_enabled()
-    assert BufferHashCache().enabled
-    monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-    assert not hash_cache_enabled()
-    assert not BufferHashCache().enabled
 
 
 # -- vectorized dirty-chunk math --------------------------------------------

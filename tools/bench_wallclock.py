@@ -20,8 +20,9 @@ Measures three things and writes them to ``BENCH_wallclock.json``:
   ``--section chaos_overhead`` runs it alone).
 * **Parallel cell fan-out** (``experiments_parallel``) — the same
   figures re-run through :mod:`repro.parallel` at ``--jobs N``,
-  recording per-figure parallel speedup, pool utilization, and warm
-  program-cache hits.  Output is bit-identical to the serial run (the
+  recording per-figure parallel speedup, pool utilization, warm
+  program-cache hits, and why a figure ran serially if it did
+  (``jobs``/``cpus``/``nested``/``pickle``/``serial-only``/``pool``).  Output is bit-identical to the serial run (the
   goldens pin this); only the wall clock moves.
 
 The tool also loads the **committed** ``BENCH_wallclock.json`` and
@@ -707,54 +708,6 @@ def _print_storage_delta(row: dict) -> None:
           f"{cont['backpressure_waits']} backpressure waits")
 
 
-def bench_fleet(seeds: tuple = (1,), duration: float = 60.0) -> dict:
-    """Wall clock of the fleet simulation (``--section fleet``).
-
-    Record-only: the fleet's wall time is dominated by the one-off
-    calibration probes (real C/R protocol simulations) plus the
-    discrete-event scheduler replay, both single-core here — the cells
-    fan out per (trace, seed, system) under ``--jobs``, so
-    ``effective_cpus`` is recorded for honest speedup reading, not as a
-    gate.  The P99 figures are *virtual*-time results and exactly
-    reproducible; only ``wall_s``/``requests_per_s`` move with the
-    machine.
-    """
-    from repro.experiments import fig_fleet
-    from repro.parallel.engine import effective_cpu_count
-
-    t0 = time.perf_counter()
-    result = fig_fleet.run(kinds=("bursty",), seeds=seeds, jobs=1,
-                           duration=duration)
-    wall = time.perf_counter() - t0
-    rows = [r for r in result.rows if r["seed"] != "all"]
-    requests = sum(r["requests"] for r in rows)
-    p99 = {r["system"]: r["p99_ms"] for r in rows
-           if r["seed"] == seeds[0]}
-    return {
-        "trace": "bursty",
-        "seeds": list(seeds),
-        "duration_s": duration,
-        "wall_s": round(wall, 3),
-        "requests": requests,
-        "requests_per_s": round(requests / wall, 1),
-        "p99_cold_start_ms": {k: round(v, 3) for k, v in p99.items()
-                              if v is not None},
-        "effective_cpus": effective_cpu_count(),
-        "cpu_count": os.cpu_count(),
-        "note": ("record-only: wall time is calibration probes + a "
-                 "single-core DES replay; virtual-time P99s are exact"),
-    }
-
-
-def _print_fleet(row: dict) -> None:
-    p99 = row["p99_cold_start_ms"]
-    tails = ", ".join(f"{k} {v / 1e3:.2f}s" for k, v in sorted(p99.items()))
-    print(f"fleet       : {row['requests']} requests in {row['wall_s']:.2f}s "
-          f"wall ({row['requests_per_s']:.0f} req/s simulated); "
-          f"P99 cold start {tails} "
-          f"(effective_cpus={row['effective_cpus']}, serial)")
-
-
 def check_regressions(report: dict, committed: dict,
                       tolerance: float = REGRESS_TOLERANCE) -> list[str]:
     """Tracked figures whose serial wall regressed > tolerance.
@@ -793,13 +746,11 @@ def run_bench(quick: bool = False, jobs: int = 4) -> dict:
     report = {
         "schema": "bench-wallclock/v1",
         "quick": quick,
-        "fastpath_disabled": bool(os.environ.get("REPRO_NO_FASTPATH")),
         "python": sys.version.split()[0],
         "interpreter": bench_interpreter(repeats=50 if quick else 200),
         "engine": bench_events(repeats=5 if quick else 20),
         "experiments": bench_experiments(experiments, quick=quick),
         "storage_delta": bench_storage_delta(),
-        "fleet": bench_fleet(),
     }
     report["experiments_parallel"] = bench_experiments_parallel(
         experiments, report["experiments"], jobs=jobs)
@@ -828,7 +779,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="reduced workload set for CI smoke runs")
     parser.add_argument("--section",
-                        choices=["chaos_overhead", "storage_delta", "fleet"],
+                        choices=["chaos_overhead", "storage_delta"],
                         help="run a single named section instead of the "
                              "full benchmark")
     parser.add_argument("--jobs", type=int, default=4, metavar="N",
@@ -852,17 +803,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"REGRESSION: {line}", file=sys.stderr)
         if failures and not args.no_regress_check:
             return 1
-        return 0
-    if args.section == "fleet":
-        # Record-only: the virtual-time results are deterministic; the
-        # wall clock depends on the runner.
-        row = bench_fleet()
-        _print_fleet(row)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"schema": "bench-wallclock/v1",
-                           "fleet": row}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
         return 0
     if args.section == "chaos_overhead":
         row = bench_chaos_overhead()
@@ -909,9 +849,6 @@ def main(argv: list[str] | None = None) -> int:
     sd = report.get("storage_delta")
     if sd:
         _print_storage_delta(sd)
-    fl = report.get("fleet")
-    if fl:
-        _print_fleet(fl)
     co = report.get("chaos_overhead")
     if co:
         _print_chaos_overhead(co)
