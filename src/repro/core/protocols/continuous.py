@@ -32,7 +32,7 @@ from repro.core.protocols.base import (
 )
 from repro.core.protocols.incremental import IncrementalCheckpoint
 from repro.core.protocols.registry import register
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.storage.media import tier_stack
 from repro.storage.writebehind import WriteBehindDrainer
 
@@ -92,6 +92,18 @@ class ContinuousCheckpoint(Protocol):
                 "drain_tiers[0] must be the checkpoint medium itself "
                 "(the DRAM tier rounds commit to)"
             )
+        # Every tier commits a delta only on top of its own replica of
+        # the parent, so an external parent must already be drained to
+        # all of them — refuse before anything runs or commits.
+        if cfg.parent is not None:
+            for tier in tiers[1:]:
+                if not tier.images.is_committed(cfg.parent):
+                    raise CheckpointError(
+                        f"continuous parent {cfg.parent.id!r} "
+                        f"({cfg.parent.name!r}) is not committed on drain "
+                        f"tier {tier.name!r}; chain on an image drained to "
+                        "every tier (share drain_tiers with its stream)"
+                    )
         drainer = WriteBehindDrainer(engine, tiers, depth=cfg.drain_depth,
                                      name=f"{name}-drain")
         drainer.start()

@@ -9,7 +9,7 @@ from repro.core.protocols import registry
 from repro.core.protocols.base import ProtocolConfig
 from repro.core.protocols.continuous import ContinuousCheckpoint
 from repro.core.sdk import PhosSdk
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.gpu.context import GpuContext
 from repro.sim import Engine
 from repro.storage.media import tier_stack
@@ -133,6 +133,61 @@ def test_drain_tiers_must_start_at_the_medium():
     msg = eng.run_process(driver(eng))
     eng.run()
     assert msg is not None and "drain_tiers[0]" in msg
+
+
+def test_parent_must_be_committed_on_every_drain_tier():
+    """A parent that lives only on the DRAM tier cannot anchor a stream:
+    the lower tiers could never commit its deltas.  The stream refuses
+    before round 0 and commits nothing."""
+    eng, machine, phos, process, app = make_world()
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        root, _ = yield phos.checkpoint(process, mode="incremental",
+                                        name="root")
+        yield from app.run(1, start=1)
+        try:
+            yield phos.checkpoint(process, mode="continuous", rounds=2,
+                                  parent=root)
+        except CheckpointError as err:
+            return root, str(err)
+        return root, None
+
+    root, msg = eng.run_process(driver(eng))
+    eng.run()
+    assert msg is not None
+    assert repr(root.id) in msg and "dram-ssd" in msg
+    assert machine.dram.images.committed_images() == [root]
+    assert not machine.dram.images.staged_images()
+
+
+def test_stream_chains_on_a_drained_stream_tip():
+    """With shared drain tiers, a second stream may continue the chain
+    of a first one: its tip is committed on every tier."""
+    eng, machine, phos, process, app = make_world()
+    tiers = tier_stack(eng, machine.dram)
+
+    def driver(eng):
+        yield from app.setup()
+        yield from app.run(1)
+        tip, first = yield phos.checkpoint(process, mode="continuous",
+                                           name="a", rounds=2,
+                                           drain_tiers=tiers)
+        yield from app.run(1, start=1)
+        _, second = yield phos.checkpoint(process, mode="continuous",
+                                          name="b", rounds=2, parent=tip,
+                                          drain_tiers=tiers)
+        return tip, first, second
+
+    tip, first, second = eng.run_process(driver(eng))
+    eng.run()
+    assert first.complete and second.complete
+    assert second.rounds_committed == 2
+    assert second.images[0].parent_id == tip.id
+    for tier in tiers:
+        for image in second.images:
+            assert tier.images.lookup(image.id) is not None
 
 
 def test_reachable_from_the_sdk():
